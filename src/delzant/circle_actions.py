@@ -31,9 +31,9 @@ strictly between the extrema meets more than two non-free orbits.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import (
     GraphError,
@@ -223,6 +223,19 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
 
     With ``up_to_flip`` the comparison also tries g2 with the circle
     direction reversed (moments and weights negated).
+
+    The node labels are refined by the multiset of (k, neighbour label)
+    over Z_k edges until the partition is stable (1-dimensional
+    Weisfeiler-Leman colour refinement), and the graphs are rejected
+    when the refined labels differ.  Otherwise a backtracking search
+    maps nodes within their refined classes, checking every edge as soon
+    as both of its endpoints are mapped.  With n nodes and E edges each
+    refinement round costs O(n + E log E), there are at most n rounds,
+    and comparing the refined labels costs O(n log n).  The search branches only among nodes
+    that refinement leaves tied; graphs from ``circle_graph`` hold at
+    most two nodes per moment level, so few stay tied there, but on
+    general graphs with many tied nodes that refinement cannot tell
+    apart the search can still take exponential time.
     """
     if _isomorphic_translated(g1, g2):
         return True
@@ -245,41 +258,89 @@ def flip_graph(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(nodes, edges)
 
 
+def _edge_orders(g: LabeledGraph) -> list[dict[int, tuple[int, ...]]]:
+    """For every node, its neighbours mapped to the sorted orders k of the
+    Z_k edges joining them."""
+    joined: list[defaultdict] = [defaultdict(list) for _ in g.nodes]
+    for e in g.edges:
+        i, j = e.endpoints
+        joined[i][j].append(e.k)
+        joined[j][i].append(e.k)
+    return [{u: tuple(sorted(ks)) for u, ks in nbrs.items()} for nbrs in joined]
+
+
+def _refined_colours(labels, orders) -> list[list[int]]:
+    """Stable colour refinement of the disjoint union of the graphs.
+
+    ``labels`` and ``orders`` hold one entry per graph.  Colours are
+    small ints shared by all the graphs, so equal colours in different
+    graphs mean the same refined label.
+    """
+    ids: dict = {}
+    colours = [[ids.setdefault(lab, len(ids)) for lab in labs] for labs in labels]
+    while True:
+        count = len(ids)
+        ids = {}
+        colours = [
+            [
+                ids.setdefault(
+                    (c[v], tuple(sorted((k, c[u]) for u, ks in nbrs.items() for k in ks))),
+                    len(ids),
+                )
+                for v, nbrs in enumerate(adj)
+            ]
+            for c, adj in zip(colours, orders)
+        ]
+        if len(ids) == count:
+            return colours
+
+
 def _isomorphic_translated(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
-    labels1 = [_node_label(n, g1.min_moment) for n in g1.nodes]
-    labels2 = [_node_label(n, g2.min_moment) for n in g2.nodes]
-    if sorted(labels1) != sorted(labels2):
+    base1, base2 = g1.min_moment, g2.min_moment
+    labels1 = [_node_label(n, base1) for n in g1.nodes]
+    labels2 = [_node_label(n, base2) for n in g2.nodes]
+    orders1, orders2 = _edge_orders(g1), _edge_orders(g2)
+    colours1, colours2 = _refined_colours((labels1, labels2), (orders1, orders2))
+    if sorted(colours1) != sorted(colours2):
         return False
 
-    by_label: dict[tuple, tuple[list[int], list[int]]] = {}
-    for i, lab in enumerate(labels1):
-        by_label.setdefault(lab, ([], []))[0].append(i)
-    for j, lab in enumerate(labels2):
-        by_label.setdefault(lab, ([], []))[1].append(j)
+    candidates: dict[int, list[int]] = defaultdict(list)
+    for j, c in enumerate(colours2):
+        candidates[c].append(j)
+    # forced (singleton) classes first, so the branching nodes meet the
+    # most already-mapped neighbours
+    order = sorted(range(len(g1.nodes)), key=lambda i: (len(candidates[colours1[i]]), i))
+    image: list[int | None] = [None] * len(order)
+    taken = [False] * len(order)
 
-    def edge_multiset(g: LabeledGraph, relabel) -> list:
-        return sorted(
-            (e.k, tuple(sorted((relabel(e.endpoints[0]), relabel(e.endpoints[1])))))
-            for e in g.edges
-        )
+    # the graphs have equally many edges, so once every edge of g1 is matched
+    # with the same multiplicity, no edge of g2 is left over
+    def consistent(i: int, j: int) -> bool:
+        return all(image[u] is None or orders2[j].get(image[u]) == ks
+                   for u, ks in orders1[i].items())
 
-    target = edge_multiset(g2, lambda j: j)
-    groups = list(by_label.values())
-
-    def assign(idx: int, mapping: dict[int, int]) -> bool:
-        if idx == len(groups):
-            return edge_multiset(g1, lambda i: mapping[i]) == target
-        ones, twos = groups[idx]
-        for perm in permutations(twos):
-            for i, j in zip(ones, perm):
-                mapping[i] = j
-            if assign(idx + 1, mapping):
-                return True
-        return False
-
-    return assign(0, {})
+    # iterative backtracking: tried[pos] counts the candidates tried for order[pos]
+    tried = [0] * len(order)
+    pos = 0
+    while 0 <= pos < len(order):
+        i = order[pos]
+        if image[i] is not None:
+            taken[image[i]] = False
+            image[i] = None
+        options = candidates[colours1[i]]
+        while tried[pos] < len(options):
+            j = options[tried[pos]]
+            tried[pos] += 1
+            if not taken[j] and consistent(i, j):
+                image[i], taken[j] = j, True
+                pos += 1
+                break
+        else:
+            tried[pos] = 0
+            pos -= 1
+    return pos == len(order)
 
 
 @dataclass(frozen=True)
@@ -388,6 +449,10 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
     fixed points and is not counted twice).  The count is constant
     between consecutive critical values, so checking the critical values
     and the midpoints between them decides every level.
+
+    One sweep over the sorted critical values keeps the number of
+    spheres crossing the current level, so with n nodes and E edges the
+    check costs O(n log n + E).
     """
     violations: list[Violation] = []
     for node in g.nodes:
@@ -400,22 +465,30 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
                 )
             )
 
-    lo, hi = g.min_moment, g.max_moment
-    critical = sorted(
-        {n.moment for n in g.nodes}
-        | {m for e in g.edges for m in e.moment_interval}
+    # every edge interval runs between the moments of its endpoint nodes
+    # (LabeledGraph enforces it), so the node moments are all the critical values
+    critical: list[Fraction] = []
+    node_rank = [0] * len(g.nodes)
+    for i in sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].moment):
+        if not critical or critical[-1] != g.nodes[i].moment:
+            critical.append(g.nodes[i].moment)
+        node_rank[i] = len(critical) - 1
+    isolated = Counter(
+        node_rank[i] for i, node in enumerate(g.nodes) if isinstance(node, IsolatedPoint)
     )
-    candidates = list(critical)
-    for left, right in zip(critical, critical[1:]):
-        candidates.append((left + right) / 2)
-    isolated_moments = [n.moment for n in g.nodes if isinstance(n, IsolatedPoint)]
-    for level in sorted(candidates):
-        if not lo < level < hi:
-            continue
-        count = sum(1 for e in g.edges if e.moment_interval[0] < level < e.moment_interval[1])
-        count += sum(1 for m in isolated_moments if m == level)
-        if count > 2:
-            violations.append(
-                Violation("level", level, f"{count} non-free orbits at level {level}")
-            )
+    opened = Counter(node_rank[e.endpoints[0]] for e in g.edges)
+    closed = Counter(node_rank[e.endpoints[1]] for e in g.edges)
+
+    def report(level: Fraction, count: int):
+        violations.append(Violation("level", level, f"{count} non-free orbits at level {level}"))
+
+    top = len(critical) - 1
+    crossing = 0  # spheres with start < level <= end
+    for r, level in enumerate(critical):
+        crossing -= closed[r]
+        if 0 < r < top and crossing + isolated[r] > 2:
+            report(level, crossing + isolated[r])
+        crossing += opened[r]  # now the spheres crossing the gap above the level
+        if r < top and crossing > 2:
+            report((level + critical[r + 1]) / 2, crossing)
     return ExtendabilityReport(not violations, tuple(violations))

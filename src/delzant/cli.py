@@ -17,7 +17,8 @@ Ten subcommands expose the library over JSON (rationals as strings, see
 
 Polygon arguments are file paths, or "-" for stdin.  Exit codes: 0 on
 success, 1 on a domain error (JSON error object on stderr), 2 on a
-usage error.
+usage error.  When the reader closes standard output early, ``main``
+exits 1 without printing anything.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import circle_actions, hirzebruch, jsonio, polygon
@@ -215,7 +217,15 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``delzant ... | head -1``); point it at
+        # devnull so the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

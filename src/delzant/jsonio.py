@@ -202,11 +202,19 @@ def graph_to_json(g: LabeledGraph) -> dict:
     }
 
 
+def _list_from_json(value, what: str, length: int | None = None) -> list:
+    _require(
+        isinstance(value, list) and (length is None or len(value) == length),
+        f"{what} must be a list" + ("" if length is None else f" of {length} entries"),
+    )
+    return value
+
+
 def graph_from_json(data) -> LabeledGraph:
     _require(isinstance(data, dict) and "nodes" in data, "graph JSON needs 'nodes'")
-    nodes = tuple(node_from_json(n) for n in data["nodes"])
+    nodes = tuple(node_from_json(n) for n in _list_from_json(data["nodes"], "'nodes'"))
     edges = []
-    for e in data.get("edges", []):
+    for e in _list_from_json(data.get("edges", []), "'edges'"):
         _require(
             isinstance(e, dict) and set(e) >= {"k", "endpoints", "interval"},
             "graph edge JSON needs 'k', 'endpoints', 'interval'",
@@ -214,8 +222,10 @@ def graph_from_json(data) -> LabeledGraph:
         edges.append(
             ZkEdge(
                 _int_from_json(e["k"], "'k'"),
-                tuple(_int_from_json(i, "endpoint index") for i in e["endpoints"]),
-                tuple(rational_from_json(t) for t in e["interval"]),
+                tuple(_int_from_json(i, "endpoint index")
+                      for i in _list_from_json(e["endpoints"], "'endpoints'", 2)),
+                tuple(rational_from_json(t)
+                      for t in _list_from_json(e["interval"], "'interval'", 2)),
             )
         )
     return LabeledGraph(nodes, tuple(edges))
@@ -234,7 +244,7 @@ def fixed_data_to_json(data: FixedPointData) -> dict:
 def fixed_data_from_json(data) -> FixedPointData:
     _require(isinstance(data, dict) and "components" in data, "fixed data JSON needs 'components'")
     components: list[FixedComponent] = []
-    for c in data["components"]:
+    for c in _list_from_json(data["components"], "'components'"):
         _require(isinstance(c, dict) and "type" in c and "index" in c, "bad fixed component")
         index = _int_from_json(c["index"], "'index'")
         if c["type"] == "isolated":
@@ -276,7 +286,9 @@ def xi_from_text(text: str) -> IntVec2:
 def graph_to_dot(g: LabeledGraph) -> str:
     """Graphviz rendering with nodes grouped by moment level."""
     lines = ["graph labeled_graph {", "  rankdir=BT;", '  node [fontsize=10];']
+    levels: dict[Fraction, list[str]] = {}  # moment -> node names, in first-seen order
     for i, node in enumerate(g.nodes):
+        levels.setdefault(node.moment, []).append(f"n{i}")
         if isinstance(node, IsolatedPoint):
             label = f"moment {node.moment}\\nweights {node.weights[0]}, {node.weights[1]}"
             shape = "circle"
@@ -284,12 +296,7 @@ def graph_to_dot(g: LabeledGraph) -> str:
             label = f"moment {node.moment}\\narea {node.area}\\ngenus {node.genus}"
             shape = "box"
         lines.append(f'  n{i} [shape={shape}, label="{label}"];')
-    seen_moments = []
-    for node in g.nodes:
-        if node.moment not in seen_moments:
-            seen_moments.append(node.moment)
-    for moment in seen_moments:
-        same = [f"n{i}" for i, n in enumerate(g.nodes) if n.moment == moment]
+    for same in levels.values():
         lines.append("  { rank=same; " + "; ".join(same) + "; }")
     for e in g.edges:
         lines.append(f'  n{e.endpoints[0]} -- n{e.endpoints[1]} [label="Z_{e.k}"];')

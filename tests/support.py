@@ -1,10 +1,13 @@
-"""Shared seeded generators for randomized tests.
+"""Shared seeded generators for randomized tests, and the environment for
+tests that start a child interpreter.
 
 Every test that samples fixes its own ``random.Random`` seed so runs are
 reproducible; these helpers only build values, they never assert.
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from delzant import HirzebruchParams, IntVec2, RatVec2, UnimodularAffine, primitive
@@ -49,3 +52,13 @@ def primitive_directions(bound: int = 3) -> list[IntVec2]:
             if not v.is_zero() and primitive(v) == v:
                 out.append(v)
     return out
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this checkout's ``delzant``."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)

@@ -36,6 +36,7 @@ from delzant.errors import (
 )
 from delzant.lattice import mat_transpose, mat_vec
 
+from reference_graphs import reference_check_extendable, reference_graphs_isomorphic
 from support import primitive_directions, rand_params, rand_unimodular_linear
 
 UNIT_SQUARE = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -292,3 +293,167 @@ def test_graph_invariants_enforced():
 
 def test_weights_sorted_on_construction():
     assert IsolatedPoint(0, (2, -1)).weights == (-1, 2)
+
+
+# --- agreement with the exhaustive reference implementations ---------------
+
+WEIGHT_POOL = ((1, 1), (-1, 1), (-1, 2), (-2, 1), (-1, -1))
+
+
+def _random_graph(rng: Random) -> LabeledGraph:
+    """Small labeled graph with crowded levels, tied labels, positive genus
+    and Z_k edges sharing endpoints; nodes are stored in random order."""
+    moments = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 6))})
+    nodes = []
+    for r, moment in enumerate(moments):
+        crowd = 1 if r in (0, len(moments) - 1) else rng.choice((1, 2, 3, 3, 4))
+        for _ in range(crowd):
+            if rng.random() < 0.75:
+                nodes.append(IsolatedPoint(moment, rng.choice(WEIGHT_POOL)))
+            else:
+                nodes.append(FatVertex(moment, rng.choice((1, 2, Fraction(1, 2))),
+                                       rng.choice((0, 0, 1, 2))))
+    rng.shuffle(nodes)
+    # edges drawn from a few hub nodes, so endpoints are often shared
+    hubs = rng.sample(range(len(nodes)), min(len(nodes), rng.randint(2, 5)))
+    edges = []
+    for _ in range(rng.randint(0, 2 * len(nodes))):
+        i, j = rng.choice(hubs), rng.randrange(len(nodes))
+        if nodes[i].moment == nodes[j].moment:
+            continue
+        if nodes[i].moment > nodes[j].moment:
+            i, j = j, i
+        edges.append(ZkEdge(rng.choice((2, 2, 3)), (i, j), (nodes[i].moment, nodes[j].moment)))
+    return LabeledGraph(tuple(nodes), tuple(edges))
+
+
+def _shifted(node, shift):
+    if isinstance(node, IsolatedPoint):
+        return IsolatedPoint(node.moment + shift, node.weights)
+    return FatVertex(node.moment + shift, node.area, node.genus)
+
+
+def _permuted(rng: Random, g: LabeledGraph, shift: Fraction = Fraction(0)) -> LabeledGraph:
+    """``g`` with nodes permuted, moments translated by ``shift`` and edges shuffled."""
+    perm = list(range(len(g.nodes)))
+    rng.shuffle(perm)
+    nodes = [None] * len(g.nodes)
+    for i, node in enumerate(g.nodes):
+        nodes[perm[i]] = _shifted(node, shift)
+    edges = [ZkEdge(e.k, (perm[e.endpoints[0]], perm[e.endpoints[1]]),
+                    (e.moment_interval[0] + shift, e.moment_interval[1] + shift))
+             for e in g.edges]
+    rng.shuffle(edges)
+    return LabeledGraph(tuple(nodes), tuple(edges))
+
+
+def _relabelled(rng: Random, g: LabeledGraph) -> LabeledGraph:
+    """``g`` permuted and translated, then sometimes perturbed (an edge end
+    moved to a tied node, an order k changed, a weight changed) and
+    sometimes flipped."""
+    h = _permuted(rng, g, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    nodes, edges, n = list(h.nodes), list(h.edges), len(h.nodes)
+    change = rng.random()
+    if edges and change < 0.3:
+        idx, end = rng.randrange(len(edges)), rng.randrange(2)
+        e = edges[idx]
+        ties = [j for j, node in enumerate(nodes)
+                if node.moment == nodes[e.endpoints[end]].moment and j != e.endpoints[end]]
+        if ties:
+            ends = list(e.endpoints)
+            ends[end] = rng.choice(ties)
+            edges[idx] = ZkEdge(e.k, tuple(ends), e.moment_interval)
+    elif edges and change < 0.4:
+        idx = rng.randrange(len(edges))
+        e = edges[idx]
+        edges[idx] = ZkEdge(5 - e.k if e.k in (2, 3) else 2, e.endpoints, e.moment_interval)
+    elif change < 0.5:
+        i = rng.randrange(n)
+        if isinstance(nodes[i], IsolatedPoint):
+            nodes[i] = IsolatedPoint(nodes[i].moment, rng.choice(WEIGHT_POOL))
+    h = LabeledGraph(tuple(nodes), tuple(edges))
+    return flip_graph(h) if rng.random() < 0.3 else h
+
+
+def test_agrees_with_reference_on_random_graphs():
+    rng = Random(36)
+    seen = {"violations": 0, "isomorphic": 0, "flipped": 0, "different": 0}
+    for _ in range(10_000):
+        g = _random_graph(rng)
+        report = check_extendable(g)
+        assert repr(report) == repr(reference_check_extendable(g))
+        seen["violations"] += not report.extendable
+        h = _relabelled(rng, g)
+        plain = graphs_isomorphic(g, h)
+        flipped = graphs_isomorphic(g, h, up_to_flip=True)
+        assert plain == reference_graphs_isomorphic(g, h)
+        assert flipped == reference_graphs_isomorphic(g, h, up_to_flip=True)
+        seen["isomorphic" if plain else "flipped" if flipped else "different"] += 1
+    # the corpus exercises every outcome, not just the easy ones
+    assert min(seen.values()) >= 500, seen
+
+
+def _tied_levels_graph(levels: int, rewired: bool) -> LabeledGraph:
+    """``levels`` levels each holding two identical isolated points, both
+    joined to the maximum by a Z_2 edge; ``rewired`` moves the second
+    edge of the top level onto its twin, so the labels still agree but
+    the twins' edge counts differ."""
+    top = Fraction(levels + 1)
+    nodes = [IsolatedPoint(0, (1, 1))]
+    for level in range(1, levels + 1):
+        nodes += [IsolatedPoint(level, (-1, 1)), IsolatedPoint(level, (-1, 1))]
+    nodes.append(IsolatedPoint(top, (-1, -1)))
+    ends = list(range(1, 2 * levels + 1))
+    if rewired:
+        ends[-1] = ends[-2]
+    edges = [ZkEdge(2, (i, len(nodes) - 1), (nodes[i].moment, top)) for i in ends]
+    return LabeledGraph(tuple(nodes), tuple(edges))
+
+
+def test_isomorphism_tied_levels_without_blowup():
+    # the exhaustive search visits 2**30 label-preserving maps on this pair
+    g = _tied_levels_graph(30, rewired=False)
+    assert not graphs_isomorphic(g, _tied_levels_graph(30, rewired=True))
+    assert not graphs_isomorphic(g, _tied_levels_graph(30, rewired=True), up_to_flip=True)
+    rng = Random(37)
+    for _ in range(5):
+        assert graphs_isomorphic(g, _permuted(rng, g))
+
+
+def _three_level_graph(width: int, triangles: int) -> LabeledGraph:
+    """Three levels of ``width`` tied points between a minimum and a maximum.
+
+    Every point has one Z_2 edge to each other level.  The first
+    ``3 * triangles`` points of the levels form triangles, the rest
+    6-cycles through two points per level, so colour refinement cannot
+    tell the points apart and only the search separates the shapes.
+    """
+    nodes = [IsolatedPoint(0, (1, 1))]
+    for level in range(3):
+        nodes += [IsolatedPoint(level + 1, (-1, 1)) for _ in range(width)]
+    at = [[1 + level * width + t for t in range(width)] for level in range(3)]
+    pairs = []
+    for t in range(triangles):
+        pairs += [(at[0][t], at[1][t]), (at[1][t], at[2][t]), (at[0][t], at[2][t])]
+    for t in range(triangles, width, 2):
+        pairs += [(at[0][t], at[1][t]), (at[1][t], at[2][t]), (at[0][t + 1], at[2][t]),
+                  (at[0][t + 1], at[1][t + 1]), (at[1][t + 1], at[2][t + 1]),
+                  (at[0][t], at[2][t + 1])]
+    nodes.append(IsolatedPoint(4, (-1, -1)))
+    return LabeledGraph(tuple(nodes), tuple(
+        ZkEdge(2, (i, j), (nodes[i].moment, nodes[j].moment)) for i, j in pairs))
+
+
+def test_isomorphism_search_separates_refinement_equivalent_graphs():
+    cycle, triangles = _three_level_graph(2, 0), _three_level_graph(2, 2)
+    assert not reference_graphs_isomorphic(cycle, triangles)
+    assert not graphs_isomorphic(cycle, triangles)
+    mixed = _three_level_graph(4, 2)
+    assert not graphs_isomorphic(mixed, _three_level_graph(4, 0))
+    assert not graphs_isomorphic(mixed, _three_level_graph(4, 4))
+    # early choices that pass every local check can still be wrong here,
+    # so finding the isomorphism needs the search to back up
+    rng = Random(38)
+    for _ in range(20):
+        assert graphs_isomorphic(mixed, _permuted(rng, mixed))

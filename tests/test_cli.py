@@ -2,8 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from delzant.cli import run
+
+from support import child_env
 
 SQUARE = json.dumps({"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]})
 TRAPEZOID = json.dumps({"vertices": [["0", "0"], ["5/2", "0"], ["3/2", "1"], ["0", "1"]]})
@@ -187,3 +194,37 @@ def test_outputs_reparse_to_same_value(tmp_path):
         code, out, _ = invoke(argv)
         assert code == 0
         assert json.loads(out) == json.loads(json.dumps(json.loads(out)))
+
+
+def test_malformed_fixed_data_is_bad_format():
+    for fixed in (
+        {"components": 5},
+        {"components": "surface"},
+        {"components": [5]},
+        {"components": [{"type": "isolated", "index": "0"}]},
+    ):
+        code, out, err = invoke(["betti", "--fixed-data", json.dumps(fixed)])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "bad_format", fixed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["standard", "--a", "5/2", "--b", "1", "--m", "2"],
+        # more output than the pipe and stdout buffers hold
+        ["enumerate-tori", "--manifold", '{"type":"s2xs2","a":"2000","b":"1"}'],
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader ever exists, so every write hits a broken pipe
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "delzant.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=60, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

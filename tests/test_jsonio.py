@@ -11,6 +11,8 @@ from delzant import (
     HirzebruchParams,
     IntVec2,
     IsolatedFixed,
+    IsolatedPoint,
+    LabeledGraph,
     RatVec2,
     SphereProduct,
     SurfaceFixed,
@@ -114,3 +116,34 @@ def test_xi_parsing():
         jsonio.xi_from_text("1")
     with pytest.raises(FormatError):
         jsonio.xi_from_text("1,x")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"nodes": 5},
+        {"nodes": [{"type": "isolated", "moment": "0", "weights": [1, 1]}], "edges": 5},
+        {"nodes": [], "edges": [{"k": 2, "endpoints": 5, "interval": ["0", "1"]}]},
+        {"nodes": [], "edges": [{"k": 2, "endpoints": [0], "interval": ["0", "1"]}]},
+        {"nodes": [], "edges": [{"k": 2, "endpoints": [0, 1], "interval": ["0"]}]},
+        {"nodes": [], "edges": [{"k": 2, "endpoints": [0, 1], "interval": 7}]},
+    ],
+)
+def test_malformed_graph_json_is_format_error(data):
+    with pytest.raises(FormatError):
+        jsonio.graph_from_json(data)
+
+
+def test_graph_dot_groups_levels_in_first_seen_order():
+    g = LabeledGraph((
+        IsolatedPoint(1, (-1, 1)),
+        IsolatedPoint(0, (1, 1)),
+        IsolatedPoint(1, (-1, 1)),
+        IsolatedPoint(2, (-1, -1)),
+    ))
+    ranks = [line for line in jsonio.graph_to_dot(g).splitlines() if "rank=same" in line]
+    assert ranks == [
+        "  { rank=same; n0; n2; }",
+        "  { rank=same; n1; }",
+        "  { rank=same; n3; }",
+    ]
