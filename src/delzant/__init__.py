@@ -47,11 +47,9 @@ from .hirzebruch import (
 )
 from .lattice import (
     IntVec2,
-    Rational,
     RatVec2,
     UnimodularAffine,
     det2,
-    parse_rational,
     primitive,
 )
 from .polygon import (
@@ -88,7 +86,6 @@ __all__ = [
     "ManifoldClass",
     "Polygon",
     "RatVec2",
-    "Rational",
     "SphereProduct",
     "SurfaceFixed",
     "UnimodularAffine",
@@ -112,7 +109,6 @@ __all__ = [
     "make_polygon",
     "manifold_of",
     "parity_reduce",
-    "parse_rational",
     "primitive",
     "same_symplectic_class",
     "second_betti_from_edges",

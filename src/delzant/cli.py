@@ -16,9 +16,12 @@ Ten subcommands expose the library over JSON (rationals as strings, see
   form-autos --form NAME --bound N      automorphisms of an intersection form
 
 Polygon arguments are file paths, or "-" for stdin.  Exit codes: 0 on
-success, 1 on a domain error (JSON error object on stderr), 2 on a
-usage error.  When the reader closes standard output early, ``main``
-exits 1 without printing anything.
+success, 1 on an error (JSON error object on stderr), 2 on a usage
+error.  Input that is not UTF-8, JSON nested too deeply and rationals
+outside the grammar of ``lattice.as_rational`` are ``bad_format``; any
+exception that is not a domain or I/O error is reported as
+``internal_error``, never as a traceback.  When the reader closes
+standard output early, ``main`` exits 1 without printing anything.
 """
 
 from __future__ import annotations
@@ -30,31 +33,39 @@ import os
 import sys
 
 from . import circle_actions, hirzebruch, jsonio, polygon
-from .errors import DelzantError
+from .errors import DelzantError, FormatError
 
 
-def _load_json(path: str, stdin):
-    if path == "-":
-        text = stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def _decode_json(what: str, read):
+    """JSON value of the text ``read()`` returns.
+
+    Undecodable bytes and nesting too deep for the decoder are
+    ``bad_format`` errors; other malformed JSON keeps the general code.
+    """
     try:
-        return json.loads(text)
+        return json.loads(read())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{what} is nested too deeply") from exc
     except json.JSONDecodeError as exc:
-        raise DelzantError(f"malformed JSON in {path!r}: {exc}") from exc
+        raise DelzantError(f"malformed {what}: {exc}") from exc
+
+
+def _read_text(path: str, stdin) -> str:
+    if path == "-":
+        return stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_polygon(path: str, stdin) -> polygon.Polygon:
-    return jsonio.polygon_from_json(_load_json(path, stdin))
+    data = _decode_json(f"JSON in {path!r}", lambda: _read_text(path, stdin))
+    return jsonio.polygon_from_json(data)
 
 
 def _parse_manifold(text: str) -> hirzebruch.ManifoldClass:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DelzantError(f"malformed manifold JSON: {exc}") from exc
-    return jsonio.manifold_from_json(data)
+    return jsonio.manifold_from_json(_decode_json("manifold JSON", lambda: text))
 
 
 _FORMS = {
@@ -153,10 +164,7 @@ def _dispatch(args, stdin) -> tuple[str, bool]:
 
     if args.command == "betti":
         if args.fixed_data is not None:
-            try:
-                data = json.loads(args.fixed_data)
-            except json.JSONDecodeError as exc:
-                raise DelzantError(f"malformed fixed-data JSON: {exc}") from exc
+            data = _decode_json("fixed-data JSON", lambda: args.fixed_data)
             fixed = jsonio.fixed_data_from_json(data)
         else:
             if args.polygon is None or args.xi is None:
@@ -208,6 +216,10 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
         return 1
     except OSError as exc:
         print(json.dumps({"error": "io_error", "detail": str(exc)}), file=stderr)
+        return 1
+    except Exception as exc:  # a defect, or a limit such as int-to-str digits
+        detail = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": "internal_error", "detail": detail}), file=stderr)
         return 1
     if is_raw:
         stdout.write(output)

@@ -10,7 +10,10 @@ i.e. height b, average width a, and a right-hand edge of lattice slope
 quadrilateral is congruent
 to exactly one standard trapezoid (after the m = 0 swap that identifies
 the a x b and b x a rectangles), so (a, b, m) classifies Delzant 4-gons
-up to unimodular affine congruence.
+up to unimodular affine congruence.  The parameters are invariants that
+``classify_quadrilateral`` reads straight off the quadrilateral: m from
+two determinants of inward normals, and b, a + (m/2) b and
+a - (m/2) b from three lattice lengths.
 
 The toric 4-manifold over the trapezoid depends only on (a, b, m mod 2):
 even m gives the product of two spheres with areas a and b; odd m gives
@@ -35,17 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
-from .lattice import (
-    IntVec2,
-    Mat2,
-    RatVec2,
-    UnimodularAffine,
-    as_rational,
-    mat_transpose,
-    mat_vec,
-    solve_mat2,
-)
-from .polygon import Polygon, apply_map, is_delzant, make_polygon
+from .lattice import IntVec2, Mat2, RatVec2, UnimodularAffine, as_rational, det2, mat_vec
+from .polygon import Polygon, apply_map, edge_data, is_delzant, make_polygon
 
 
 @dataclass(frozen=True)
@@ -152,64 +146,46 @@ def standard_trapezoid(params: HirzebruchParams) -> Polygon:
 
 
 _SWAP_XY = UnimodularAffine(((0, 1), (1, 0)))
+_STANDARD_BASIS = (IntVec2(1, 0), IntVec2(0, 1))
 
 
 def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularAffine]:
     """Identify a Delzant quadrilateral as a standard trapezoid.
 
-    Because adjacent normals form a lattice basis, relabeling the normal
-    cycle to start at some edge and sending its first two normals to
-    (1, 0) and (0, 1) forces the other two into the shape (-1, k) and
-    (l, -1) with kl = 0.  The relabeling with l = 0 and k <= 0 puts the
-    polygon in standard position (left edge vertical, bottom horizontal,
-    slant leaning left with slope -1/m for m = -k); a translation to the
-    origin then reads off the parameters directly.
+    Everything is read off the inward normals u_0..u_3 and the lattice
+    lengths; no intermediate polygon is built.  Adjacent Delzant normals
+    are a lattice basis, so the point map with rows u_r and u_{r+1}
+    turns the normal cycle into (1, 0), (0, 1), (-1, k), (l, -1) with
+    k = det(u_r, u_{r+2}), l = det(u_{r+3}, u_{r+1}) and kl = 0.  The
+    relabelling r with l = 0 and k <= 0 is standard position: edge r is
+    the vertical left side, edge r+1 the bottom, edge r+2 the slant of
+    slope -1/m for m = -k, and edge r+3 the top.  Translating vertex r+1,
+    the bottom-left corner, to the origin completes the witness.  Lattice
+    lengths are invariant under the map, so edges r, r+1 and r+3 have
+    lengths b, a + (m/2) b and a - (m/2) b.
 
     Returns the canonical parameters and a witness map T with
-    apply_map(poly, T) == standard_trapezoid(params).
+    apply_map(poly, T) == standard_trapezoid(params); that equality is
+    checked before returning.
     """
     if len(poly) != 4:
         raise EdgeCountError(f"expected a quadrilateral, got {len(poly)} edges")
     report = is_delzant(poly)
     if not report.is_delzant:
         raise NotDelzantError(f"polygon is not Delzant: failures {report.failures}")
-    normals = report.normals
+    u = report.normals * 2  # doubled, so u[r + j] needs no wrap-around
+    standard = [
+        r for r in range(4) if det2(u[r + 3], u[r + 1]) == 0 and det2(u[r], u[r + 2]) <= 0
+    ]
+    # a rectangle admits all four relabelings; prefer the one that keeps
+    # an already-standard polygon fixed
+    r = next((r for r in standard if (u[r], u[r + 1]) == _STANDARD_BASIS), standard[0])
 
-    e1, e2 = IntVec2(1, 0), IntVec2(0, 1)
-    chosen = None
-    for r in range(4):
-        w = normals[r:] + normals[:r]
-        s = solve_mat2((w[0], w[1]), (e1, e2))
-        assert s is not None  # adjacent Delzant normals are a lattice basis
-        t2 = mat_vec(s, w[2])
-        t3 = mat_vec(s, w[3])
-        # Delzant determinants force t2 = (-1, k), t3 = (l, -1), kl = 0
-        k, l = t2.y, t3.x
-        if l == 0 and k <= 0:
-            # a rectangle admits all four relabelings; prefer the one that
-            # keeps an already-standard polygon fixed
-            if s == ((1, 0), (0, 1)):
-                chosen = (w, -k)
-                break
-            if chosen is None:
-                chosen = (w, -k)
-    if chosen is None:
-        raise AssertionError("no standard relabeling found for a Delzant quadrilateral")
-    w, m = chosen
-
-    # the point map with normal action s is x -> transpose([w0 w1]) x
-    upright = UnimodularAffine(mat_transpose(((w[0].x, w[1].x), (w[0].y, w[1].y))))
-    image = apply_map(poly, upright)
-    xmin = min(p.x for p in image.vertices)
-    ymin = min(p.y for p in image.vertices)
-    witness = UnimodularAffine.translate(-xmin, -ymin).compose(upright)
-    placed = apply_map(poly, witness)
-
-    b = max(p.y for p in placed.vertices)
-    bottom = max(p.x for p in placed.vertices if p.y == 0)
-    top = max(p.x for p in placed.vertices if p.y == b)
-    assert bottom - top == m * b, "slant slope inconsistent with width difference"
-    params = HirzebruchParams((bottom + top) / 2, b, m)
+    upright = ((u[r].x, u[r].y), (u[r + 1].x, u[r + 1].y))
+    witness = UnimodularAffine(upright, -mat_vec(upright, poly.vertices[(r + 1) % 4]))
+    lengths = [e.lattice_length for e in edge_data(poly) * 2]
+    b, bottom, top = lengths[r], lengths[r + 1], lengths[r + 3]
+    params = HirzebruchParams((bottom + top) / 2, b, -det2(u[r], u[r + 2]))
 
     if not params.is_canonical:
         params = params.canonical()

@@ -2,7 +2,8 @@
 
 Conventions shared by every payload:
 
-  * rationals are strings "p/q" or "p", never JSON floats;
+  * rationals are strings "p/q" or "p" (an optional minus sign, ASCII
+    digits, q > 0; see ``lattice.as_rational``), never JSON floats;
   * integer lattice data (normals, weights, matrix entries, m, k, genus)
     are JSON integers;
   * the emitted JSON re-parses to the original value exactly.
@@ -47,7 +48,7 @@ from .circle_actions import (
 )
 from .errors import FormatError
 from .hirzebruch import BlowUp, HirzebruchParams, ManifoldClass, SphereProduct
-from .lattice import IntVec2, RatVec2, UnimodularAffine, format_rational
+from .lattice import IntVec2, RatVec2, UnimodularAffine, as_rational
 from .polygon import DelzantReport, Polygon, make_polygon
 
 
@@ -57,15 +58,12 @@ def _require(condition: bool, message: str):
 
 
 def rational_to_json(q: Fraction) -> str:
-    return format_rational(q)
+    return str(q)
 
 
 def rational_from_json(value) -> Fraction:
     _require(isinstance(value, str), f"rationals must be strings like '5/2', got {value!r}")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"invalid rational {value!r}: {exc}") from exc
+    return as_rational(value)
 
 
 def _int_from_json(value, what: str) -> int:

@@ -14,23 +14,29 @@ stay integral.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateDirectionError, NotUnimodularError
-
-Rational = Fraction
+from .errors import DegenerateDirectionError, FormatError, NotUnimodularError
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY_MAT: Mat2 = ((1, 0), (0, 1))
 
 
-def as_rational(value) -> Fraction:
-    """Coerce int / Fraction / string "p/q" to an exact rational.
+_RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
 
-    Floats are rejected outright rather than converted: a float in the
-    input is always a bug under the exactness contract.
+
+def as_rational(value) -> Fraction:
+    """Coerce int / Fraction / string to an exact rational.
+
+    Strings must match ``-?\\d+(/\\d+)?`` in full (ASCII digits, no
+    sign on the denominator, no spaces, underscores, decimal points or
+    exponents) and have a nonzero denominator; anything else raises
+    ``FormatError``.  Floats are rejected outright rather than
+    converted: a float in the input is always a bug under the exactness
+    contract.
     """
     if isinstance(value, bool):
         raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -39,19 +45,13 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if not _RATIONAL.fullmatch(value):
+            raise FormatError(f"invalid rational {value!r}: expected 'p' or 'p/q'")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
+            raise FormatError(f"invalid rational {value!r}: {exc}") from exc
     raise TypeError(f"cannot interpret {value!r} as a rational (floats are not allowed)")
-
-
-def format_rational(q: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(q)
-
-
-def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str):
-        raise TypeError(f"expected a rational string, got {text!r}")
-    return Fraction(text)
 
 
 @dataclass(frozen=True, order=True)

@@ -16,9 +16,10 @@ the moment polygons of toric 4-manifolds.
 
 Congruence here means equality up to an affine map x -> Rx + v with R an
 integer matrix of determinant +1 or -1 (``UnimodularAffine``).
-``congruent`` returns an explicit witness map or None, by matching normal
-cycles over all cyclic offsets and both orientations and verifying the
-candidate map vertex-for-vertex.
+``congruent`` returns an explicit witness map or None.  It matches the
+integer normal cycles over all cyclic offsets and both orientations,
+and checks each surviving candidate by mapping the vertex cycle onto
+the target's, without building an image polygon.
 """
 
 from __future__ import annotations
@@ -168,60 +169,41 @@ def second_betti_from_edges(poly: Polygon) -> int:
     return len(poly) - 2
 
 
-def _candidate_transform(
-    p1: Polygon,
-    p2: Polygon,
-    normals1: tuple[IntVec2, ...],
-    normals2: tuple[IntVec2, ...],
-    offset: int,
-    orientation: int,
-) -> UnimodularAffine | None:
-    """Solve and fully verify one normal-cycle matching.
-
-    ``orientation`` +1 matches normal cycles in order (edge i of p1 to
-    edge i+offset of p2), -1 matches against the reversed cycle (edge i
-    to edge offset-i), which is how reflections permute edges.  The
-    solved matrix acts on normals; the point map is its inverse
-    transpose.  The translation comes from one matched vertex and the
-    whole map is verified by comparing image and target polygons.
-    """
-    n = len(normals1)
-
-    def target(i: int) -> int:
-        return (offset + orientation * i) % n
-
-    s = solve_mat2(
-        (normals1[0], normals1[1]),
-        (normals2[target(0)], normals2[target(1)]),
-    )
-    if s is None or mat_det(s) != orientation:
-        return None
-    if any(mat_vec(s, normals1[i]) != normals2[target(i)] for i in range(2, n)):
-        return None
-    linear = mat_inverse_transpose(s)
-    # tail of edge i maps to the tail (direct) or head (reversed) of its target
-    image_of_v0 = p2.vertices[(offset + (1 if orientation < 0 else 0)) % n]
-    translation = image_of_v0 - mat_vec(linear, p1.vertices[0])
-    transform = UnimodularAffine(linear, translation)
-    if apply_map(p1, transform) == p2:
-        return transform
-    return None
-
-
 def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
     """Witness map T with apply_map(p1, T) == p2, or None.
 
-    Tries every cyclic offset with both orientations; each candidate is
-    solved from one adjacent normal pair and verified in full, so a
-    returned witness is always exact.
+    Tries every cyclic offset with both orientations, in that order.
+    Orientation +1 matches edge i of p1 to edge offset+i of p2; -1 matches
+    it to edge offset-i, which is how reflections permute edges.  The
+    matrix s solved from the first two normals acts on normals and must
+    carry the whole normal cycle (an integer check); the point map is
+    the inverse transpose of s, with the translation fixed by vertex 0.
+    The candidate is then verified vertex by vertex: the tail of edge i
+    must land on the tail (+1) or head (-1) of its matched edge.  So a
+    returned witness is always exact, and no polygon is built.
     """
-    if len(p1) != len(p2):
+    n = len(p1)
+    if n != len(p2):
         return None
     normals1 = tuple(e.inward_normal for e in edge_data(p1))
     normals2 = tuple(e.inward_normal for e in edge_data(p2))
     for orientation in (1, -1):
-        for offset in range(len(p1)):
-            found = _candidate_transform(p1, p2, normals1, normals2, offset, orientation)
-            if found is not None:
-                return found
+        head = 1 if orientation < 0 else 0
+        for offset in range(n):
+            s = solve_mat2(
+                (normals1[0], normals1[1]),
+                (normals2[offset], normals2[(offset + orientation) % n]),
+            )
+            if s is None or mat_det(s) != orientation:
+                continue
+            if any(
+                mat_vec(s, normals1[i]) != normals2[(offset + orientation * i) % n]
+                for i in range(2, n)
+            ):
+                continue
+            linear = mat_inverse_transpose(s)
+            targets = [p2.vertices[(offset + orientation * i + head) % n] for i in range(n)]
+            transform = UnimodularAffine(linear, targets[0] - mat_vec(linear, p1.vertices[0]))
+            if all(transform.apply(p) == q for p, q in zip(p1.vertices[1:], targets[1:])):
+                return transform
     return None

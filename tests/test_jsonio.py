@@ -39,6 +39,11 @@ def test_rational_strings():
         jsonio.rational_from_json("1/0")
 
 
+def test_rational_serialization_round_trip():
+    for text in ["5/2", "3", "-7/12", "0"]:
+        assert jsonio.rational_to_json(jsonio.rational_from_json(text)) == text
+
+
 def test_polygon_round_trip():
     poly = standard_trapezoid(HirzebruchParams(2, 1, 1))
     data = jsonio.polygon_to_json(poly)
@@ -147,3 +152,21 @@ def test_graph_dot_groups_levels_in_first_seen_order():
         "  { rank=same; n1; }",
         "  { rank=same; n3; }",
     ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2.5", "1e3", " 5/2", "5/2 ", "1_0", "+1", "1/-2", "5/", "/2", "--1", "٣", "", "1/0",
+     "7" * 5000],
+)
+def test_rational_grammar_is_strict(text):
+    with pytest.raises(FormatError):
+        jsonio.rational_from_json(text)
+    with pytest.raises(FormatError):
+        RatVec2(text, 0)
+
+
+def test_rational_grammar_accepts_integers_and_fractions():
+    assert jsonio.rational_from_json("-0") == 0
+    assert jsonio.rational_from_json("007/014") == Fraction(1, 2)
+    assert jsonio.rational_from_json("-12/8") == Fraction(-3, 2)

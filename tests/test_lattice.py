@@ -6,9 +6,9 @@ from random import Random
 
 import pytest
 
-from delzant import IntVec2, RatVec2, UnimodularAffine, det2, parse_rational, primitive
+from delzant import IntVec2, RatVec2, UnimodularAffine, det2, primitive
 from delzant.errors import DegenerateDirectionError, NotUnimodularError
-from delzant.lattice import as_rational, format_rational
+from delzant.lattice import as_rational
 
 from support import rand_affine
 
@@ -23,11 +23,6 @@ def test_rational_floor_ceil_exact():
     assert math.ceil(Fraction(5, 2)) == 3
     assert math.ceil(Fraction(3, 1)) == 3
     assert math.floor(Fraction(-5, 2)) == -3
-
-
-def test_rational_serialization_round_trip():
-    for text in ["5/2", "3", "-7/12", "0"]:
-        assert format_rational(parse_rational(text)) == text
 
 
 def test_as_rational_rejects_floats():

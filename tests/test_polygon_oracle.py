@@ -1,0 +1,164 @@
+"""Agreement of ``congruent`` and ``classify_quadrilateral`` with the
+polygon-rebuilding reference versions, and the polygons they build."""
+
+from fractions import Fraction
+from random import Random
+
+from delzant import (
+    HirzebruchParams,
+    Polygon,
+    RatVec2,
+    UnimodularAffine,
+    apply_map,
+    classify_quadrilateral,
+    congruent,
+    edge_data,
+    make_polygon,
+    standard_trapezoid,
+)
+
+from reference_polygons import reference_classify_quadrilateral, reference_congruent
+from support import rand_affine, rand_params, rand_rational
+
+# the eight lattice symmetries of the unit square, as linear parts
+DIHEDRAL = (
+    ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
+    ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)),
+)
+
+REFERENCE = {
+    classify_quadrilateral: reference_classify_quadrilateral,
+    congruent: reference_congruent,
+}
+
+
+def outcome(fn, *args) -> str:
+    """``repr`` of the result, or the type and message of the exception."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the oracle comparison covers errors as well
+        return f"{type(exc).__name__}: {exc}"
+
+
+def cut_corners(poly: Polygon, rng: Random, cuts: int) -> Polygon:
+    """Toric blow-ups: cut ``cuts`` random corners, each by a third or less
+    of its shorter edge, so the result stays Delzant when ``poly`` is."""
+    for _ in range(cuts):
+        edges = edge_data(poly)
+        n = len(poly)
+        j = rng.randrange(n)  # the corner at vertex j joins edges j-1 and j
+        before, after = edges[j - 1], edges[j]
+        size = min(before.lattice_length, after.lattice_length) / rng.randint(3, 6)
+        v = poly.vertices[j]
+        back = RatVec2(-before.direction.x * size, -before.direction.y * size)
+        ahead = RatVec2(after.direction.x * size, after.direction.y * size)
+        pts = list(poly.vertices)
+        pts[j:j + 1] = [v + back, v + ahead]
+        poly = make_polygon(pts)
+    return poly
+
+
+def convex_hull(points) -> list:
+    """Monotone-chain hull, counterclockwise, without collinear points."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def rand_convex(rng: Random) -> Polygon:
+    """A convex polygon on random lattice points, usually not Delzant."""
+    while True:
+        hull = convex_hull([(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(6)])
+        if len(hull) >= 3:
+            scale = Fraction(1, rng.randint(1, 4))
+            return make_polygon([(x * scale, y * scale) for x, y in hull])
+
+
+def rand_quadrilateral(rng: Random, kind: int) -> Polygon:
+    """A transformed Delzant quadrilateral of one of four shapes."""
+    if kind == 0:  # rectangle with a < b: classification swaps it
+        b = rand_rational(rng, 2, 20)
+        params = HirzebruchParams(b * Fraction(rng.randint(1, 9), 10), b, 0)
+    elif kind == 1:  # square, with all eight symmetries
+        a = rand_rational(rng)
+        params = HirzebruchParams(a, a, 0)
+    else:
+        params = rand_params(rng)
+    poly = standard_trapezoid(params)
+    if kind == 1:
+        poly = apply_map(poly, UnimodularAffine(rng.choice(DIHEDRAL)))
+    return apply_map(poly, rand_affine(rng))
+
+
+def clockwise(poly: Polygon) -> Polygon:
+    return make_polygon(poly.vertices[::-1])
+
+
+def test_agrees_with_reference_on_random_polygons():
+    rng = Random(404)
+    cases = 0
+    for i in range(1112):
+        quad = rand_quadrilateral(rng, i % 4)
+        if i % 3 == 0:
+            quad = clockwise(quad)
+        image = apply_map(quad, rand_affine(rng))
+        if i % 5 == 0:
+            image = clockwise(image)
+        other = rand_quadrilateral(rng, rng.randrange(4))
+        convex = rand_convex(rng)
+        convex_image = apply_map(convex, rand_affine(rng))
+        ngon = cut_corners(quad, rng, rng.randint(1, 3))
+        ngon_image = apply_map(ngon, rand_affine(rng))
+        for fn, args in (
+            (classify_quadrilateral, (quad,)),
+            (classify_quadrilateral, (image,)),
+            (classify_quadrilateral, (convex,)),
+            (congruent, (quad, image)),
+            (congruent, (image, other)),
+            (congruent, (convex, convex_image)),
+            (congruent, (convex, rand_convex(rng))),
+            (congruent, (ngon, ngon_image)),
+            (congruent, (ngon_image, cut_corners(other, rng, len(ngon) - 4))),
+        ):
+            assert outcome(fn, *args) == outcome(REFERENCE[fn], *args), (fn.__name__, args)
+            cases += 1
+    assert cases >= 10_000
+
+
+def test_classify_and_congruent_build_no_throwaway_polygons(monkeypatch):
+    rng = Random(405)
+    pairs = []
+    for i in range(40):
+        quad = rand_quadrilateral(rng, i % 4)
+        pairs.append((quad, apply_map(quad, rand_affine(rng))))
+        pairs.append((quad, rand_quadrilateral(rng, 2)))
+        convex = rand_convex(rng)
+        pairs.append((convex, apply_map(convex, rand_affine(rng))))
+    built = 0
+    construct = Polygon.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        construct(self)
+
+    monkeypatch.setattr(Polygon, "__post_init__", counting)
+    for p1, p2 in pairs:
+        built = 0
+        congruent(p1, p2)
+        assert built == 0
+    for quad, _ in pairs[::3]:
+        built = 0
+        classify_quadrilateral(quad)
+        assert built <= 2
