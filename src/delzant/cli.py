@@ -17,11 +17,12 @@ Ten subcommands expose the library over JSON (rationals as strings, see
 
 Polygon arguments are file paths, or "-" for stdin.  Exit codes: 0 on
 success, 1 on an error (JSON error object on stderr), 2 on a usage
-error.  Input that is not UTF-8, JSON nested too deeply and rationals
-outside the grammar of ``lattice.as_rational`` are ``bad_format``; any
-exception that is not a domain or I/O error is reported as
-``internal_error``, never as a traceback.  When the reader closes
-standard output early, ``main`` exits 1 without printing anything.
+error, such as ``--m`` or ``--bound`` outside ``lattice.as_integer``'s
+grammar.  Input that is not UTF-8 (files and stdin alike), JSON nested
+too deeply, and rationals or ``--xi`` entries outside their grammars
+are ``bad_format``; any exception that is not a domain or I/O error is
+reported as ``internal_error``, never as a traceback.  When the reader
+closes standard output early, ``main`` exits 1 without printing anything.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import sys
 
 from . import circle_actions, hirzebruch, jsonio, polygon
 from .errors import DelzantError, FormatError
+from .lattice import as_integer
 
 
 def _decode_json(what: str, read):
@@ -53,8 +55,10 @@ def _decode_json(what: str, read):
 
 
 def _read_text(path: str, stdin) -> str:
+    """Text of ``path``, or of stdin for "-", decoded strictly as UTF-8."""
     if path == "-":
-        return stdin.read()
+        raw = getattr(stdin, "buffer", None)
+        return raw.read().decode("utf-8") if raw is not None else stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -90,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("standard", help="emit a standard trapezoid")
     p.add_argument("--a", required=True, help="average width, e.g. 5/2")
     p.add_argument("--b", required=True, help="height")
-    p.add_argument("--m", required=True, type=int, help="nonnegative integer parameter")
+    p.add_argument("--m", required=True, type=as_integer, help="nonnegative integer parameter")
 
     p = sub.add_parser("count-tori", help="count conjugacy classes of maximal tori")
     p.add_argument("--manifold", required=True, help="manifold JSON")
@@ -118,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("form-autos", help="automorphisms of an intersection form")
     p.add_argument("--form", required=True, choices=sorted(_FORMS))
-    p.add_argument("--bound", type=int, default=3, help="entry bound for the search")
+    p.add_argument("--bound", type=as_integer, default=3, help="entry bound for the search")
 
     return parser
 

@@ -205,14 +205,13 @@ def manifold_of(params: HirzebruchParams) -> ManifoldClass:
     return BlowUp(params.a + params.b / 2, params.a - params.b / 2)
 
 
-def _sphere_trapezoid_data(manifold: SphereProduct) -> tuple[Fraction, Fraction, Fraction]:
-    return manifold.a, manifold.b, manifold.a / manifold.b
-
-
-def _blowup_trapezoid_data(manifold: BlowUp) -> tuple[Fraction, Fraction, Fraction]:
-    a = (manifold.l + manifold.e) / 2
+def _trapezoid_data(manifold: ManifoldClass) -> tuple[Fraction, Fraction, Fraction, int]:
+    """(a, b, ratio, parity): the trapezoids over the manifold are
+    (a, b, 2k + parity) for the integers 0 <= k < ratio."""
+    if isinstance(manifold, SphereProduct):
+        return manifold.a, manifold.b, manifold.a / manifold.b, 0
     b = manifold.l - manifold.e
-    return a, b, manifold.e / (manifold.l - manifold.e)
+    return (manifold.l + manifold.e) / 2, b, manifold.e / b, 1
 
 
 def enumerate_tori(manifold: ManifoldClass) -> tuple[HirzebruchParams, ...]:
@@ -220,29 +219,16 @@ def enumerate_tori(manifold: ManifoldClass) -> tuple[HirzebruchParams, ...]:
 
     One entry per conjugacy class of maximal tori: (a, b, 2k) with
     0 <= k < a/b for the sphere product, (a, b, 2k+1) with
-    0 <= k < e/(l-e) for the blow-up.
+    0 <= k < e/(l-e) for the blow-up.  For k >= 0, k < ratio exactly
+    when k < ceil(ratio), so there are ``count_tori`` entries.
     """
-    if isinstance(manifold, SphereProduct):
-        a, b, ratio = _sphere_trapezoid_data(manifold)
-        parity = 0
-    else:
-        a, b, ratio = _blowup_trapezoid_data(manifold)
-        parity = 1
-    out = []
-    k = 0
-    while k < ratio:
-        out.append(HirzebruchParams(a, b, 2 * k + parity))
-        k += 1
-    return tuple(out)
+    a, b, _, parity = _trapezoid_data(manifold)
+    return tuple(HirzebruchParams(a, b, 2 * k + parity) for k in range(count_tori(manifold)))
 
 
 def count_tori(manifold: ManifoldClass) -> int:
     """Number of conjugacy classes of maximal tori, by the ceiling formula."""
-    if isinstance(manifold, SphereProduct):
-        ratio = _sphere_trapezoid_data(manifold)[2]
-    else:
-        ratio = _blowup_trapezoid_data(manifold)[2]
-    return math.ceil(ratio)
+    return math.ceil(_trapezoid_data(manifold)[2])
 
 
 def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[Mat2, ...]:

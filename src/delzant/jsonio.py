@@ -48,7 +48,7 @@ from .circle_actions import (
 )
 from .errors import FormatError
 from .hirzebruch import BlowUp, HirzebruchParams, ManifoldClass, SphereProduct
-from .lattice import IntVec2, RatVec2, UnimodularAffine, as_rational
+from .lattice import IntVec2, RatVec2, UnimodularAffine, as_integer, as_rational
 from .polygon import DelzantReport, Polygon, make_polygon
 
 
@@ -275,10 +275,7 @@ def matrices_to_json(matrices) -> list:
 def xi_from_text(text: str) -> IntVec2:
     parts = text.split(",")
     _require(len(parts) == 2, f"direction must look like '0,1', got {text!r}")
-    try:
-        return IntVec2(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise FormatError(f"invalid direction {text!r}: {exc}") from exc
+    return IntVec2(as_integer(parts[0]), as_integer(parts[1]))
 
 
 def graph_to_dot(g: LabeledGraph) -> str:

@@ -26,6 +26,17 @@ IDENTITY_MAT: Mat2 = ((1, 0), (0, 1))
 
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
+_INTEGER = re.compile(r"-?\d+", re.ASCII)
+
+
+def as_integer(text: str) -> int:
+    """Parse a string that fully matches ``-?\\d+`` (ASCII digits), else ``FormatError``."""
+    if not _INTEGER.fullmatch(text):
+        raise FormatError(f"invalid integer {text!r}: expected 'n' or '-n'")
+    try:
+        return int(text)
+    except ValueError as exc:  # too many digits
+        raise FormatError(f"invalid integer {text!r}: {exc}") from exc
 
 
 def as_rational(value) -> Fraction:

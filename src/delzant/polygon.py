@@ -9,6 +9,9 @@ length:
 
     edge vector = lattice_length * direction.
 
+The constructor computes this edge data once, in integers per edge, and
+reads convexity and orientation off the signs of det(d_i, d_{i+1}).
+
 The polygon is Delzant when consecutive primitive inward normals satisfy
 det(u_i, u_{i+1}) = 1 cyclically, i.e. every pair of adjacent normals is
 a positively oriented basis of the integer lattice.  These are exactly
@@ -42,13 +45,18 @@ from .lattice import (
     mat_det,
     mat_inverse_transpose,
     mat_vec,
-    primitive,
     solve_mat2,
 )
 
 
-def _cross(u: RatVec2, w: RatVec2) -> Fraction:
-    return u.x * w.y - u.y * w.x
+@dataclass(frozen=True)
+class EdgeData:
+    """One polygon edge: primitive direction, inward normal, lattice length."""
+
+    tail_index: int
+    direction: IntVec2
+    inward_normal: IntVec2
+    lattice_length: Fraction
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,12 @@ class Polygon:
 
     Clockwise input is accepted and silently reversed; ``input_reversed``
     records that this happened (it does not participate in equality).
+    The edge data is computed here, once, in integers per edge.
     """
 
     vertices: tuple[RatVec2, ...]
     input_reversed: bool = field(default=False, compare=False)
+    _edges: tuple[EdgeData, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(
@@ -75,23 +85,37 @@ class Polygon:
                 raise RepeatedVertexError(i)
             seen[p] = i
 
-        crosses = []
-        for i in range(n):
-            a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-            crosses.append(_cross(b - a, c - b))
-        for i, cr in enumerate(crosses):
-            if cr == 0:
+        # s * (b - a) is an integer vector; with g the gcd of its entries,
+        # the edge has direction s * (b - a) / g and lattice length g / s
+        edges = []
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            s = math.lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator)
+            dx = b.x.numerator * (s // b.x.denominator) - a.x.numerator * (s // a.x.denominator)
+            dy = b.y.numerator * (s // b.y.denominator) - a.y.numerator * (s // a.y.denominator)
+            g = math.gcd(dx, dy)
+            edges.append((IntVec2(dx // g, dy // g), Fraction(g, s)))
+
+        # edge i is a positive multiple of d_i, so det(d_i, d_{i+1}) signs the turn at i + 1
+        turns = [det2(edges[i][0], edges[(i + 1) % n][0]) for i in range(n)]
+        for i, turn in enumerate(turns):
+            if turn == 0:
                 raise CollinearVerticesError((i + 1) % n)
-        if all(cr < 0 for cr in crosses):
+        if all(turn < 0 for turn in turns):
             pts = pts[::-1]
+            # reversed edge j runs backwards along input edge n - 2 - j
+            edges = [(-d, length) for d, length in edges[-2::-1] + edges[-1:]]
             object.__setattr__(self, "input_reversed", True)
-        elif not all(cr > 0 for cr in crosses):
-            majority_ccw = sum(1 for cr in crosses if cr > 0) * 2 >= n
-            bad = next(i for i, cr in enumerate(crosses) if (cr > 0) != majority_ccw)
+        elif not all(turn > 0 for turn in turns):
+            majority_ccw = sum(1 for turn in turns if turn > 0) * 2 >= n
+            bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
             raise NonConvexError((bad + 1) % n)
 
         start = min(range(n), key=lambda i: (pts[i].x, pts[i].y))
         object.__setattr__(self, "vertices", pts[start:] + pts[:start])
+        edges = edges[start:] + edges[:start]
+        object.__setattr__(self, "_edges", tuple(
+            EdgeData(i, d, d.rotate_left(), length) for i, (d, length) in enumerate(edges)
+        ))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -105,32 +129,9 @@ def make_polygon(points) -> Polygon:
     return Polygon(tuple(points))
 
 
-@dataclass(frozen=True)
-class EdgeData:
-    """One polygon edge: primitive direction, inward normal, lattice length."""
-
-    tail_index: int
-    direction: IntVec2
-    inward_normal: IntVec2
-    lattice_length: Fraction
-
-
-def _primitive_direction(delta: RatVec2) -> IntVec2:
-    scale = math.lcm(delta.x.denominator, delta.y.denominator)
-    return primitive(IntVec2(int(delta.x * scale), int(delta.y * scale)))
-
-
 def edge_data(poly: Polygon) -> tuple[EdgeData, ...]:
-    """Per-edge lattice data, one record per edge in counterclockwise order."""
-    pts = poly.vertices
-    n = len(pts)
-    out = []
-    for i in range(n):
-        delta = pts[(i + 1) % n] - pts[i]
-        direction = _primitive_direction(delta)
-        length = delta.x / direction.x if direction.x else delta.y / direction.y
-        out.append(EdgeData(i, direction, direction.rotate_left(), length))
-    return tuple(out)
+    """Per-edge lattice data in counterclockwise order, computed once by the constructor."""
+    return poly._edges
 
 
 @dataclass(frozen=True)

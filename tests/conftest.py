@@ -1,0 +1,7 @@
+"""Test-wide settings: property tests draw the same examples on every run
+and write no example database."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")

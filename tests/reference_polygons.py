@@ -1,5 +1,5 @@
-"""Reference implementations of congruence and trapezoid classification,
-kept as test oracles.
+"""Reference implementations of congruence, trapezoid classification and
+polygon construction, kept as test oracles.
 
 These are the original polygon-rebuilding versions: ``congruent`` checks
 each candidate map by building the whole image polygon and comparing it
@@ -8,7 +8,16 @@ every relabelling, then places the polygon by building and scanning
 images.  They are slower but follow the geometry step by step, and the
 agreement tests compare the library against them on seeded random
 polygons, down to the ``repr`` of every witness.
+
+``ReferencePolygon`` and ``reference_edge_data`` are the original
+constructor and edge data: convexity from Fraction cross products of the
+edge vectors, and every edge derived again, on each call, from the
+vertex differences.
 """
+
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from delzant import (
     HirzebruchParams,
@@ -20,14 +29,24 @@ from delzant import (
     is_delzant,
     standard_trapezoid,
 )
-from delzant.errors import EdgeCountError, NotDelzantError
+from delzant.errors import (
+    CollinearVerticesError,
+    EdgeCountError,
+    NonConvexError,
+    NotDelzantError,
+    RepeatedVertexError,
+    TooFewVerticesError,
+)
 from delzant.lattice import (
+    RatVec2,
     mat_det,
     mat_inverse_transpose,
     mat_transpose,
     mat_vec,
+    primitive,
     solve_mat2,
 )
+from delzant.polygon import EdgeData
 
 
 def _candidate_transform(
@@ -156,3 +175,67 @@ def reference_classify_quadrilateral(
         witness = _SWAP_XY.compose(witness)
     assert apply_map(poly, witness) == standard_trapezoid(params)
     return params, witness
+
+
+def _cross(u: RatVec2, w: RatVec2) -> Fraction:
+    return u.x * w.y - u.y * w.x
+
+
+@dataclass(frozen=True)
+class ReferencePolygon:
+    """The original ``Polygon``: same fields, same normalisation."""
+
+    vertices: tuple[RatVec2, ...]
+    input_reversed: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        pts = tuple(
+            p if isinstance(p, RatVec2) else RatVec2(p[0], p[1]) for p in self.vertices
+        )
+        n = len(pts)
+        if n < 3:
+            raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
+        seen: dict[RatVec2, int] = {}
+        for i, p in enumerate(pts):
+            if p in seen:
+                raise RepeatedVertexError(i)
+            seen[p] = i
+
+        crosses = []
+        for i in range(n):
+            a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+            crosses.append(_cross(b - a, c - b))
+        for i, cr in enumerate(crosses):
+            if cr == 0:
+                raise CollinearVerticesError((i + 1) % n)
+        if all(cr < 0 for cr in crosses):
+            pts = pts[::-1]
+            object.__setattr__(self, "input_reversed", True)
+        elif not all(cr > 0 for cr in crosses):
+            majority_ccw = sum(1 for cr in crosses if cr > 0) * 2 >= n
+            bad = next(i for i, cr in enumerate(crosses) if (cr > 0) != majority_ccw)
+            raise NonConvexError((bad + 1) % n)
+
+        start = min(range(n), key=lambda i: (pts[i].x, pts[i].y))
+        object.__setattr__(self, "vertices", pts[start:] + pts[:start])
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+
+def _primitive_direction(delta: RatVec2) -> IntVec2:
+    scale = math.lcm(delta.x.denominator, delta.y.denominator)
+    return primitive(IntVec2(int(delta.x * scale), int(delta.y * scale)))
+
+
+def reference_edge_data(poly: ReferencePolygon) -> tuple[EdgeData, ...]:
+    """Per-edge lattice data, one record per edge in counterclockwise order."""
+    pts = poly.vertices
+    n = len(pts)
+    out = []
+    for i in range(n):
+        delta = pts[(i + 1) % n] - pts[i]
+        direction = _primitive_direction(delta)
+        length = delta.x / direction.x if direction.x else delta.y / direction.y
+        out.append(EdgeData(i, direction, direction.rotate_left(), length))
+    return tuple(out)

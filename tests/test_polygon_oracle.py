@@ -1,5 +1,6 @@
-"""Agreement of ``congruent`` and ``classify_quadrilateral`` with the
-polygon-rebuilding reference versions, and the polygons they build."""
+"""Agreement of ``congruent``, ``classify_quadrilateral`` and the
+``Polygon`` constructor with their reference versions, and the polygons
+``congruent`` and ``classify_quadrilateral`` build."""
 
 from fractions import Fraction
 from random import Random
@@ -16,8 +17,14 @@ from delzant import (
     make_polygon,
     standard_trapezoid,
 )
+from delzant.errors import DelzantError
 
-from reference_polygons import reference_classify_quadrilateral, reference_congruent
+from reference_polygons import (
+    ReferencePolygon,
+    reference_classify_quadrilateral,
+    reference_congruent,
+    reference_edge_data,
+)
 from support import rand_affine, rand_params, rand_rational
 
 # the eight lattice symmetries of the unit square, as linear parts
@@ -162,3 +169,99 @@ def test_classify_and_congruent_build_no_throwaway_polygons(monkeypatch):
         built = 0
         classify_quadrilateral(quad)
         assert built <= 2
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+
+
+def construction(points) -> tuple:
+    poly = Polygon(tuple(points))
+    edges = edge_data(poly)
+    assert edges is edge_data(poly), "edge data must be computed once"
+    return repr(poly.vertices), poly.input_reversed, repr(edges)
+
+
+def reference_construction(points) -> tuple:
+    poly = ReferencePolygon(tuple(points))
+    return repr(poly.vertices), poly.input_reversed, repr(reference_edge_data(poly))
+
+
+def kind_of(points) -> str:
+    try:
+        return "clockwise" if Polygon(tuple(points)).input_reversed else "counterclockwise"
+    except DelzantError as exc:
+        return type(exc).__name__
+
+
+def encode(points, rng: Random) -> list:
+    """The same points as RatVec2 values, Fraction pairs or string pairs."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [RatVec2(x, y) for x, y in points]
+    if kind == 1:
+        return [(Fraction(x), Fraction(y)) for x, y in points]
+    return [(str(x), str(y)) for x, y in points]
+
+
+def coprime_points(rng: Random, count: int) -> list:
+    """Points whose coordinates are fractions over distinct primes, so
+    their denominators are pairwise coprime."""
+    primes = rng.sample(PRIMES, 2 * count)
+    return [
+        (Fraction(rng.randint(1, 40 * p) * rng.choice((1, -1)), p),
+         Fraction(rng.randint(1, 40 * q) * rng.choice((1, -1)), q))
+        for p, q in zip(primes[::2], primes[1::2])
+    ]
+
+
+def constructor_inputs(rng: Random, i: int) -> list:
+    """One round of raw vertex lists, valid and invalid, as (x, y) pairs."""
+    cuts = rng.randint(0, 30 if i % 100 == 0 else 5)  # now and then a 30-odd-gon
+    base = cut_corners(rand_quadrilateral(rng, i % 4), rng, cuts)
+    transform = rand_affine(rng)  # the image runs clockwise when its det is -1
+    pts = [(q.x, q.y) for q in map(transform.apply, base.vertices)]
+    n = len(pts)
+    out = [pts[r:] + pts[:r] for r in range(n)]  # every start rotation
+    out += [pts[::-1][r:] + pts[::-1][:r] for r in range(0, n, 2)]  # clockwise
+
+    j = rng.randrange(n)
+    (ax, ay), (bx, by) = pts[j], pts[(j + 1) % n]
+    t = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+    on_line = (ax + t * (bx - ax), ay + t * (by - ay))
+    out.append(pts[:j + 1] + [on_line] + pts[j + 1:])  # collinear with edge j
+    out.append(pts[:j + 2] + [on_line] + pts[j + 2:])
+
+    cx = sum(x for x, _ in pts) / n
+    cy = sum(y for _, y in pts) / n
+    out.append(pts[:j] + [(cx, cy)] + pts[j + 1:])  # a vertex pulled inward
+    swapped = list(pts)
+    swapped[j], swapped[(j + 1) % n] = swapped[(j + 1) % n], swapped[j]
+    out.append(swapped)
+
+    k = rng.randrange(n + 1)
+    out.append(pts[:k] + [pts[rng.randrange(n)]] + pts[k:])  # a repeated vertex
+    out.append(pts[:rng.randrange(3)])  # fewer than 3 vertices
+
+    scattered = coprime_points(rng, rng.randint(3, 11))
+    hull = convex_hull(scattered)
+    out += [scattered, hull, hull[::-1]]
+    return out
+
+
+def test_constructor_agrees_with_reference():
+    rng = Random(505)
+    results: dict[str, int] = {}
+    cases = 0
+    for i in range(700):
+        for points in constructor_inputs(rng, i):
+            points = encode(points, rng)
+            new = outcome(construction, points)
+            assert new == outcome(reference_construction, points), points
+            kind = kind_of(points)
+            results[kind] = results.get(kind, 0) + 1
+            cases += 1
+    assert cases >= 10_000
+    # every path of the constructor is exercised: both orientations and each error
+    for kind in ("clockwise", "counterclockwise", "CollinearVerticesError", "NonConvexError",
+                 "RepeatedVertexError", "TooFewVerticesError"):
+        assert results.get(kind, 0) >= 300, results
