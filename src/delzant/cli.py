@@ -20,9 +20,11 @@ success, 1 on an error (JSON error object on stderr), 2 on a usage
 error, such as ``--m`` or ``--bound`` outside ``lattice.as_integer``'s
 grammar.  Input that is not UTF-8 (files and stdin alike), JSON nested
 too deeply, and rationals or ``--xi`` entries outside their grammars
-are ``bad_format``; any exception that is not a domain or I/O error is
-reported as ``internal_error``, never as a traceback.  When the reader
-closes standard output early, ``main`` exits 1 without printing anything.
+are ``bad_format``; a result with more digits than the interpreter
+will print is ``output_too_large``; any exception that is not a domain
+or I/O error is reported as ``internal_error``, never as a traceback.
+When the reader closes standard output early, ``main`` exits 1 without
+printing anything.
 """
 
 from __future__ import annotations

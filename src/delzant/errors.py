@@ -81,3 +81,10 @@ class FormatError(DelzantError):
     """Malformed JSON payloads, rationals, or other serialized input."""
 
     code = "bad_format"
+
+
+class OutputTooLargeError(DelzantError):
+    """A result has more digits than the interpreter will print
+    (``sys.get_int_max_str_digits()``)."""
+
+    code = "output_too_large"

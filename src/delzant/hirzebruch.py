@@ -38,8 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
-from .lattice import IntVec2, Mat2, RatVec2, UnimodularAffine, as_rational, det2, mat_vec
-from .polygon import Polygon, apply_map, edge_data, is_delzant, make_polygon
+from .lattice import (
+    IntVec2, Mat2, RatVec2, UnimodularAffine, as_rational, det2, mat_det, mat_vec,
+)
+from .polygon import Polygon, edge_data, is_delzant, make_polygon
 
 
 @dataclass(frozen=True)
@@ -133,16 +135,18 @@ HYPERBOLIC_FORM = IntersectionForm(((0, 1), (1, 0)))
 BLOWUP_FORM = IntersectionForm(((1, 0), (0, -1)))
 
 
-def standard_trapezoid(params: HirzebruchParams) -> Polygon:
+def _trapezoid_corners(params: HirzebruchParams) -> tuple[RatVec2, ...]:
     half = Fraction(params.m, 2) * params.b
-    return make_polygon(
-        [
-            (Fraction(0), Fraction(0)),
-            (params.a + half, Fraction(0)),
-            (params.a - half, params.b),
-            (Fraction(0), params.b),
-        ]
+    return (
+        RatVec2(Fraction(0), Fraction(0)),
+        RatVec2(params.a + half, Fraction(0)),
+        RatVec2(params.a - half, params.b),
+        RatVec2(Fraction(0), params.b),
     )
+
+
+def standard_trapezoid(params: HirzebruchParams) -> Polygon:
+    return make_polygon(_trapezoid_corners(params))
 
 
 _SWAP_XY = UnimodularAffine(((0, 1), (1, 0)))
@@ -165,8 +169,11 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
     lengths b, a + (m/2) b and a - (m/2) b.
 
     Returns the canonical parameters and a witness map T with
-    apply_map(poly, T) == standard_trapezoid(params); that equality is
-    checked before returning.
+    apply_map(poly, T) == standard_trapezoid(params).  That equality is
+    checked before returning, without building a polygon: an affine
+    bijection maps a strictly convex polygon onto the convex polygon with
+    the image vertex set, so it suffices that T sends the four vertices
+    onto the trapezoid's four corners.
     """
     if len(poly) != 4:
         raise EdgeCountError(f"expected a quadrilateral, got {len(poly)} edges")
@@ -190,7 +197,7 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
     if not params.is_canonical:
         params = params.canonical()
         witness = _SWAP_XY.compose(witness)
-    assert apply_map(poly, witness) == standard_trapezoid(params)
+    assert {witness.apply(p) for p in poly.vertices} == set(_trapezoid_corners(params))
     return params, witness
 
 
@@ -236,7 +243,9 @@ def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[M
     and transpose(M) Q M = Q, sorted by entries.
 
     For the two forms of interest the result is independent of the bound:
-    every solution already has entries in {-1, 0, 1}.
+    every solution already has entries in {-1, 0, 1}.  The search takes
+    O(bound) steps: for each first-column entry a, the entry c is a root
+    of a quadratic, and the second column then solves a linear system.
     """
     if isinstance(form, IntersectionForm):
         q = form.matrix
@@ -249,18 +258,63 @@ def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[M
 
 @functools.lru_cache(maxsize=None)
 def _form_automorphisms(q: Mat2, bound: int) -> tuple[Mat2, ...]:
-    rng = range(-bound, bound + 1)
+    # M = ((a, b), (c, d)).  Its first column solves Q(a, c) = q00, a quadratic
+    # in c for each a.  Given that column and det M = sign, M^T Q M = Q reads
+    # Q M = sign * adj(M)^T Q, four equations linear in (b, d), plus det M =
+    # sign.  An automorphism of a nondegenerate form is fixed by one column and
+    # its determinant, so any two independent rows fix (b, d), and when no two
+    # rows are independent there is no automorphism.
+    (q00, q01), (_, q11) = q
     out = []
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c not in (1, -1):
-                        continue
-                    m = ((a, b), (c, d))
-                    if _congruence_transform(m, q) == q:
-                        out.append(m)
+    for a in range(-bound, bound + 1):
+        for c in _first_column_entries(q, a, bound):
+            for sign in (1, -1):
+                second = _solve_integer((
+                    (-c, a, sign),
+                    (0, sign * q00, q00 * a + (1 + sign) * q01 * c),
+                    (sign * q00, 0, (sign - 1) * q01 * a - q11 * c),
+                    (q00, (1 - sign) * q01, -sign * q11 * c),
+                    ((1 + sign) * q01, q11, sign * q11 * a),
+                ))
+                if second is None or max(abs(second[0]), abs(second[1])) > bound:
+                    continue
+                m = ((a, second[0]), (c, second[1]))
+                if mat_det(m) == sign and _congruence_transform(m, q) == q:
+                    out.append(m)
     return tuple(sorted(out))
+
+
+def _first_column_entries(q: Mat2, a: int, bound: int) -> list[int]:
+    """The c in [-bound, bound] coprime to a with Q(a, c) = q00, that is,
+    the integer roots of q11 c^2 + 2 q01 a c + q00 (a^2 - 1) = 0."""
+    (q00, q01), (_, q11) = q
+    constant = q00 * (a * a - 1)
+    if q11 != 0:
+        quarter_disc = (q01 * a) ** 2 - q11 * constant
+        root = math.isqrt(max(quarter_disc, 0))
+        if root * root != quarter_disc:
+            return []
+        roots = [t // q11 for t in {-q01 * a + root, -q01 * a - root} if t % q11 == 0]
+    elif q01 * a != 0:
+        roots = [-constant // (2 * q01 * a)] if constant % (2 * q01 * a) == 0 else []
+    else:  # a = 0 (q01 != 0 when q11 = 0): every c solves constant = 0, if any does
+        roots = [-1, 1] if constant == 0 else []
+    # a column of a unimodular matrix has coprime entries
+    return [c for c in roots if -bound <= c <= bound and math.gcd(a, c) == 1]
+
+
+def _solve_integer(rows) -> tuple[int, int] | None:
+    """The solution (x, y) of the first two independent rows p x + r y = s,
+    or None when it is not integral or no two rows are independent."""
+    for i, (p1, r1, s1) in enumerate(rows):
+        for p2, r2, s2 in rows[i + 1:]:
+            det = p1 * r2 - r1 * p2
+            if det:
+                x, y = s1 * r2 - r1 * s2, p1 * s2 - s1 * p2
+                if x % det or y % det:
+                    return None
+                return x // det, y // det
+    return None
 
 
 def _congruence_transform(m: Mat2, q: Mat2) -> Mat2:

@@ -32,6 +32,7 @@ isotropy sphere is an undirected edge labeled "Z_k".
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .circle_actions import (
@@ -46,7 +47,7 @@ from .circle_actions import (
     SurfaceFixed,
     ZkEdge,
 )
-from .errors import FormatError
+from .errors import FormatError, OutputTooLargeError
 from .hirzebruch import BlowUp, HirzebruchParams, ManifoldClass, SphereProduct
 from .lattice import IntVec2, RatVec2, UnimodularAffine, as_integer, as_rational
 from .polygon import DelzantReport, Polygon, make_polygon
@@ -58,7 +59,15 @@ def _require(condition: bool, message: str):
 
 
 def rational_to_json(q: Fraction) -> str:
-    return str(q)
+    """``str(q)``; ``OutputTooLargeError`` when the numerator or the
+    denominator has more digits than ``sys.get_int_max_str_digits()``."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise OutputTooLargeError(
+            f"result has a number with more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for int-to-str conversion"
+        ) from exc
 
 
 def rational_from_json(value) -> Fraction:
@@ -284,11 +293,12 @@ def graph_to_dot(g: LabeledGraph) -> str:
     levels: dict[Fraction, list[str]] = {}  # moment -> node names, in first-seen order
     for i, node in enumerate(g.nodes):
         levels.setdefault(node.moment, []).append(f"n{i}")
+        moment = rational_to_json(node.moment)
         if isinstance(node, IsolatedPoint):
-            label = f"moment {node.moment}\\nweights {node.weights[0]}, {node.weights[1]}"
+            label = f"moment {moment}\\nweights {node.weights[0]}, {node.weights[1]}"
             shape = "circle"
         else:
-            label = f"moment {node.moment}\\narea {node.area}\\ngenus {node.genus}"
+            label = f"moment {moment}\\narea {rational_to_json(node.area)}\\ngenus {node.genus}"
             shape = "box"
         lines.append(f'  n{i} [shape={shape}, label="{label}"];')
     for same in levels.values():

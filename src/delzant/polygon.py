@@ -19,10 +19,12 @@ the moment polygons of toric 4-manifolds.
 
 Congruence here means equality up to an affine map x -> Rx + v with R an
 integer matrix of determinant +1 or -1 (``UnimodularAffine``).
-``congruent`` returns an explicit witness map or None.  It matches the
-integer normal cycles over all cyclic offsets and both orientations,
-and checks each surviving candidate by mapping the vertex cycle onto
-the target's, without building an image polygon.
+``congruent`` returns an explicit witness map or None.  It tries all
+cyclic offsets in both orientations.  A candidate is skipped at once
+unless the two polygons' cyclic words of lattice lengths and normal
+determinants line up, which every congruence requires; the survivors
+must carry the integer normal cycle, and then the vertex cycle, onto
+the target's.  No image polygon is built.
 """
 
 from __future__ import annotations
@@ -170,27 +172,71 @@ def second_betti_from_edges(poly: Polygon) -> int:
     return len(poly) - 2
 
 
+def _invariant_word(poly: Polygon) -> list:
+    """The cyclic word (E_0, C_0, E_1, C_1, ...) of the polygon's 2n
+    congruence invariants.
+
+    E_i = (numerator, denominator of the lattice length of edge i,
+    det(u_{i-1}, u_{i+1})) and C_i = det(u_i, u_{i+1}), in plain ints so
+    that words compare at C speed.  It is computed per ``congruent`` call,
+    not stored by the constructor, so that building a polygon does not
+    pay for it.
+    """
+    edges = edge_data(poly)
+    u = [e.inward_normal for e in edges]
+    n = len(u)
+    word = []
+    for i, e in enumerate(edges):
+        length = e.lattice_length
+        word.append((length.numerator, length.denominator, det2(u[i - 1], u[(i + 1) % n])))
+        word.append(det2(u[i], u[(i + 1) % n]))
+    return word
+
+
 def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
     """Witness map T with apply_map(p1, T) == p2, or None.
 
     Tries every cyclic offset with both orientations, in that order.
     Orientation +1 matches edge i of p1 to edge offset+i of p2; -1 matches
-    it to edge offset-i, which is how reflections permute edges.  The
-    matrix s solved from the first two normals acts on normals and must
-    carry the whole normal cycle (an integer check); the point map is
-    the inverse transpose of s, with the translation fixed by vertex 0.
-    The candidate is then verified vertex by vertex: the tail of edge i
-    must land on the tail (+1) or head (-1) of its matched edge.  So a
+    it to edge offset-i, which is how reflections permute edges.
+
+    Each candidate must first pass the invariant-word prefilter (see
+    ``_invariant_word``).  A map x -> Rx + v with R in GL2(Z) keeps every
+    lattice length, and sends each inward normal u_i to S u_i with
+    S = R^{-T}, so det(S u, S w) = det(R) det(u, w).  With det R = +1 the
+    edges keep their order and p1's word is p2's rotated by 2 * offset.
+    With det R = -1 the edges run backwards, which swaps the arguments of
+    both determinants and cancels the sign, so p1's word is p2's read
+    backwards from position 2 * offset.  A candidate whose words differ
+    therefore cannot be a witness: the prefilter is a necessary
+    condition, skips no congruence and leaves the first witness found
+    unchanged.
+
+    A candidate that passes is checked in full.  The matrix s solved
+    from the first two normals acts on normals and must carry the whole
+    normal cycle (an integer check); the point map is the inverse
+    transpose of s, with the translation fixed by vertex 0.  The
+    candidate is then verified vertex by vertex: the tail of edge i must
+    land on the tail (+1) or head (-1) of its matched edge.  So a
     returned witness is always exact, and no polygon is built.
     """
     n = len(p1)
     if n != len(p2):
         return None
+    word1 = _invariant_word(p1)
+    word2 = _invariant_word(p2)
     normals1 = tuple(e.inward_normal for e in edge_data(p1))
     normals2 = tuple(e.inward_normal for e in edge_data(p2))
     for orientation in (1, -1):
         head = 1 if orientation < 0 else 0
+        # entry k of the backwards word is entry -k of p2's word; doubled, so
+        # every rotation is one slice
+        cycle = (word2 if orientation > 0 else word2[:1] + word2[:0:-1]) * 2
         for offset in range(n):
+            start = (orientation * 2 * offset) % (2 * n)
+            # the first entry alone rejects most offsets without a slice
+            if cycle[start] != word1[0] or cycle[start:start + 2 * n] != word1:
+                continue
             s = solve_mat2(
                 (normals1[0], normals1[1]),
                 (normals2[offset], normals2[(offset + orientation) % n]),

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,15 @@ def test_form_autos():
         [[1, 0], [0, -1]],
         [[1, 0], [0, 1]],
     ]
+
+
+def test_form_autos_large_bound_is_fast():
+    for form in ("hyperbolic", "blowup"):
+        start = time.perf_counter()
+        code, out, _ = invoke(["form-autos", "--form", form, "--bound", "1000"])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == invoke(["form-autos", "--form", form, "--bound", "3"])[1]
 
 
 def test_domain_error_exit_code_and_error_object(tmp_path):

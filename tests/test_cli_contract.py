@@ -23,7 +23,7 @@ CASES = {
     "leading-space": (["standard", "--a", " 5/2", "--b", "1", "--m", "0"], "bad_format"),
     "underscore": (["standard", "--a", "1_0", "--b", "1", "--m", "0"], "bad_format"),
     "digit-limit": (
-        ["standard", "--a", SEVENS, "--b", "1/" + SEVENS, "--m", "1"], "internal_error"
+        ["standard", "--a", SEVENS, "--b", "1/" + SEVENS, "--m", "1"], "output_too_large"
     ),
     # a polygon file that is not UTF-8, for every subcommand that reads one
     "verify-not-utf8": (["verify", "@bad"], "bad_format"),

@@ -28,6 +28,7 @@ from delzant import (
 )
 from delzant.errors import EdgeCountError, InvalidParamsError, NotDelzantError
 
+from reference_forms import reference_form_automorphisms
 from support import rand_affine, rand_params
 
 
@@ -212,6 +213,22 @@ def test_form_automorphisms_against_independent_filter():
             if a * d - b * c in (1, -1) and preserves(((a, b), (c, d)), form.matrix)
         ]
         assert sorted(brute) == list(form_automorphisms(form, 2))
+
+
+def test_form_automorphisms_agree_with_reference_scan():
+    rng = Random(606)
+    forms = [HYPERBOLIC_FORM.matrix, BLOWUP_FORM.matrix]
+    while len(forms) < 26:
+        q00, q01, q11 = (rng.randint(-4, 4) for _ in range(3))
+        if q00 * q11 != q01 * q01:
+            forms.append(((q00, q01), (q01, q11)))
+    richer = 0  # cases with more than four automorphisms within the bound
+    for q in forms:
+        for bound in range(1, 7):
+            found = form_automorphisms(q, bound)
+            assert found == reference_form_automorphisms(q, bound), (q, bound)
+            richer += len(found) > 4
+    assert richer > 0
 
 
 def test_same_symplectic_class():

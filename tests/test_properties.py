@@ -14,16 +14,26 @@ from delzant import (
     UnimodularAffine,
     apply_map,
     classify_quadrilateral,
+    congruent,
     count_tori,
     edge_data,
     enumerate_tori,
     make_polygon,
     standard_trapezoid,
 )
+from delzant.lattice import mat_vec
 
 from test_polygon_oracle import convex_hull
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+# negative values, large random denominators, and the coprime denominators
+# of two Mersenne primes and a power of 3
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20)),
+    st.builds(Fraction, st.integers(-10**6, 10**6),
+              st.sampled_from((2**61 - 1, 2**89 - 1, 3**40))),
+)
 positive = st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30)
 
 
@@ -85,3 +95,30 @@ def test_classify_inverts_standard_trapezoid(params, transform):
     found, witness = classify_quadrilateral(apply_map(standard, transform))
     assert found == params
     assert apply_map(apply_map(standard, transform), witness) == standard
+
+
+@given(unimodular_affines(), wide_rationals, wide_rationals, wide_rationals, wide_rationals)
+def test_apply_is_the_affine_formula(transform, x, y, tx, ty):
+    transform = UnimodularAffine(transform.linear, RatVec2(tx, ty))
+    p = RatVec2(x, y)
+    assert transform.apply(p) == mat_vec(transform.linear, p) + transform.translation
+
+
+@given(convex_polygons(), unimodular_affines())
+def test_congruent_finds_a_witness_for_every_image(poly, transform):
+    image = apply_map(poly, transform)
+    witness = congruent(poly, image)
+    assert witness is not None
+    assert apply_map(poly, witness) == image
+
+
+@given(canonical_params(), canonical_params(), st.booleans(), unimodular_affines(),
+       unimodular_affines())
+def test_congruent_agrees_with_classification(params1, params2, same, t1, t2):
+    if same:
+        params2 = params1
+    quad1 = apply_map(standard_trapezoid(params1), t1)
+    quad2 = apply_map(standard_trapezoid(params2), t2)
+    assert classify_quadrilateral(quad1)[0] == params1
+    assert classify_quadrilateral(quad2)[0] == params2
+    assert (congruent(quad1, quad2) is not None) == (params1 == params2)
