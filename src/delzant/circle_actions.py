@@ -41,7 +41,7 @@ from .errors import (
     NonPrimitiveDirectionError,
     NotDelzantError,
 )
-from .lattice import IntVec2, as_rational, primitive
+from .lattice import IntVec2, as_rational, is_int, primitive
 from .polygon import Polygon, edge_data, is_delzant
 
 
@@ -72,10 +72,10 @@ class IsolatedPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "moment", as_rational(self.moment))
-        w = tuple(sorted(self.weights))
-        if len(w) != 2 or any(not isinstance(x, int) or x == 0 for x in w):
+        w = tuple(self.weights)
+        if len(w) != 2 or not all(is_int(x) and x != 0 for x in w):
             raise GraphError(f"weights must be a pair of nonzero integers, got {self.weights!r}")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", tuple(sorted(w)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class FatVertex:
         object.__setattr__(self, "area", as_rational(self.area))
         if self.area <= 0:
             raise GraphError(f"fixed surface area must be positive, got {self.area}")
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not is_int(self.genus) or self.genus < 0:
             raise GraphError(f"genus must be a nonnegative integer, got {self.genus!r}")
 
 
@@ -111,13 +111,15 @@ class ZkEdge:
     moment_interval: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
+        if not is_int(self.k) or self.k < 2:
             raise GraphError(f"isotropy order k must be an integer >= 2, got {self.k!r}")
         lo, hi = (as_rational(t) for t in self.moment_interval)
         if not lo < hi:
             raise GraphError(f"moment interval must be increasing, got ({lo}, {hi})")
         object.__setattr__(self, "moment_interval", (lo, hi))
-        object.__setattr__(self, "endpoints", (int(self.endpoints[0]), int(self.endpoints[1])))
+        if len(self.endpoints) != 2 or not all(is_int(i) for i in self.endpoints):
+            raise GraphError(f"endpoints must be a pair of node indices, got {self.endpoints!r}")
+        object.__setattr__(self, "endpoints", tuple(self.endpoints))
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,15 @@ class LabeledGraph:
 
 
 def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
-    """Labeled graph of the circle subaction with primitive direction xi."""
+    """Labeled graph of the circle subaction with primitive direction xi.
+
+    One walk over ``edge_data(poly)``: edge i has speed s_i = <xi, d_i>,
+    and the moment rises along it when s_i > 0.  A level edge (s_i = 0)
+    is one fixed surface, which its tail vertex stands for; its head
+    vertex is skipped.  Any other vertex i is an isolated point whose
+    weights are the adjacent speeds (s_i, -s_{i-1}).  A stable sort by
+    moment orders the nodes, so tied points keep their vertex order.
+    """
     if not isinstance(direction, CircleDirection):
         direction = CircleDirection(direction)
     xi = direction.xi
@@ -163,52 +173,28 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
 
     edges = edge_data(poly)
     n = len(edges)
-    pts = poly.vertices
     speeds = [xi.dot(e.direction) for e in edges]
-    moments = [p.dot(xi) for p in pts]
-
-    # vertex i sits between edge i-1 (incoming) and edge i (outgoing)
-    level_edge_of_vertex = {}
-    for i in range(n):
-        if speeds[i] == 0:
-            level_edge_of_vertex[i] = i
-            level_edge_of_vertex[(i + 1) % n] = i
-
-    node_specs: list[tuple] = []
-    for i in range(n):
-        if speeds[i] == 0:
-            node_specs.append((moments[i], "edge", i))
-    for i in range(n):
-        if i not in level_edge_of_vertex:
-            node_specs.append((moments[i], "vertex", i))
-    node_specs.sort(key=lambda spec: (spec[0], spec[1], spec[2]))
+    moments = [p.dot(xi) for p in poly.vertices]
 
     nodes: list[GraphNode] = []
-    node_of_vertex: dict[int, int] = {}
-    for moment, kind, i in node_specs:
-        if kind == "edge":
-            nodes.append(FatVertex(moment, edges[i].lattice_length, 0))
-            node_of_vertex[i] = len(nodes) - 1
-            node_of_vertex[(i + 1) % n] = len(nodes) - 1
+    node_of_vertex = [0] * n
+    rank: dict[Fraction, int] = {}  # each moment's rank among the distinct moments
+    for i in sorted((i for i in range(n) if speeds[i - 1] != 0), key=moments.__getitem__):
+        node_of_vertex[i] = len(nodes)
+        rank.setdefault(moments[i], len(rank))
+        if speeds[i] == 0:
+            node_of_vertex[(i + 1) % n] = len(nodes)
+            nodes.append(FatVertex(moments[i], edges[i].lattice_length, 0))
         else:
-            away = (edges[i].direction, -edges[(i - 1) % n].direction)
-            nodes.append(IsolatedPoint(moments[i], (xi.dot(away[0]), xi.dot(away[1]))))
-            node_of_vertex[i] = len(nodes) - 1
+            nodes.append(IsolatedPoint(moments[i], (speeds[i], -speeds[i - 1])))
 
     zk_edges = []
-    for i in range(n):
-        if abs(speeds[i]) >= 2:
-            ends = (i, (i + 1) % n)
-            if moments[ends[0]] > moments[ends[1]]:
-                ends = (ends[1], ends[0])
-            zk_edges.append(
-                ZkEdge(
-                    abs(speeds[i]),
-                    (node_of_vertex[ends[0]], node_of_vertex[ends[1]]),
-                    (moments[ends[0]], moments[ends[1]]),
-                )
-            )
-    zk_edges.sort(key=lambda e: (e.moment_interval, e.k, e.endpoints))
+    for i, speed in enumerate(speeds):
+        if abs(speed) >= 2:
+            lo, hi = (i, (i + 1) % n) if speed > 0 else ((i + 1) % n, i)
+            ends = (node_of_vertex[lo], node_of_vertex[hi])
+            zk_edges.append(ZkEdge(abs(speed), ends, (moments[lo], moments[hi])))
+    zk_edges.sort(key=lambda e: (*map(rank.__getitem__, e.moment_interval), e.k, e.endpoints))
     return LabeledGraph(tuple(nodes), tuple(zk_edges))
 
 
@@ -350,7 +336,7 @@ class IsolatedFixed:
     index: int
 
     def __post_init__(self):
-        if self.index not in (0, 2, 4):
+        if not is_int(self.index) or self.index not in (0, 2, 4):
             raise GraphError(f"isolated fixed point index must be 0, 2, or 4, got {self.index!r}")
 
 
@@ -362,9 +348,9 @@ class SurfaceFixed:
     genus: int = 0
 
     def __post_init__(self):
-        if self.index not in (0, 2):
+        if not is_int(self.index) or self.index not in (0, 2):
             raise GraphError(f"fixed surface index must be 0 or 2, got {self.index!r}")
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not is_int(self.genus) or self.genus < 0:
             raise GraphError(f"genus must be a nonnegative integer, got {self.genus!r}")
 
 

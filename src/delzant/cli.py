@@ -70,6 +70,13 @@ def _load_polygon(path: str, stdin) -> polygon.Polygon:
     return jsonio.polygon_from_json(data)
 
 
+def _circle_graph(args, stdin) -> circle_actions.LabeledGraph:
+    """Graph of the ``--xi`` circle action on the ``polygon`` argument."""
+    return circle_actions.circle_graph(
+        _load_polygon(args.polygon, stdin), jsonio.xi_from_text(args.xi)
+    )
+
+
 def _parse_manifold(text: str) -> hirzebruch.ManifoldClass:
     return jsonio.manifold_from_json(_decode_json("manifold JSON", lambda: text))
 
@@ -161,9 +168,7 @@ def _dispatch(args, stdin) -> tuple[str, bool]:
         return json.dumps(entries, indent=2), False
 
     if args.command == "graph":
-        g = circle_actions.circle_graph(
-            _load_polygon(args.polygon, stdin), jsonio.xi_from_text(args.xi)
-        )
+        g = _circle_graph(args, stdin)
         if args.dot:
             return jsonio.graph_to_dot(g), True
         return json.dumps(jsonio.graph_to_json(g), indent=2), False
@@ -175,10 +180,7 @@ def _dispatch(args, stdin) -> tuple[str, bool]:
         else:
             if args.polygon is None or args.xi is None:
                 raise DelzantError("betti needs either a polygon with --xi or --fixed-data")
-            g = circle_actions.circle_graph(
-                _load_polygon(args.polygon, stdin), jsonio.xi_from_text(args.xi)
-            )
-            fixed = circle_actions.fixed_point_data(g)
+            fixed = circle_actions.fixed_point_data(_circle_graph(args, stdin))
         return json.dumps(list(circle_actions.betti_numbers(fixed))), False
 
     if args.command == "congruent":
@@ -190,10 +192,7 @@ def _dispatch(args, stdin) -> tuple[str, bool]:
         return json.dumps(jsonio.affine_to_json(witness), indent=2), False
 
     if args.command == "extendable":
-        g = circle_actions.circle_graph(
-            _load_polygon(args.polygon, stdin), jsonio.xi_from_text(args.xi)
-        )
-        report = circle_actions.check_extendable(g)
+        report = circle_actions.check_extendable(_circle_graph(args, stdin))
         return json.dumps(jsonio.extendability_to_json(report), indent=2), False
 
     if args.command == "form-autos":

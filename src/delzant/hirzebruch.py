@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
 from .lattice import (
-    IntVec2, Mat2, RatVec2, UnimodularAffine, as_rational, det2, mat_det, mat_vec,
+    IntVec2, Mat2, RatVec2, UnimodularAffine, as_rational, det2, is_int, mat_det, mat_vec,
 )
 from .polygon import Polygon, edge_data, is_delzant, make_polygon
 
@@ -59,7 +59,7 @@ class HirzebruchParams:
     def __post_init__(self):
         object.__setattr__(self, "a", as_rational(self.a))
         object.__setattr__(self, "b", as_rational(self.b))
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
+        if not is_int(self.m) or self.m < 0:
             raise InvalidParamsError(f"m must be a nonnegative integer, got {self.m!r}")
         if self.a <= 0 or self.b <= 0:
             raise InvalidParamsError(f"need a, b > 0, got a={self.a}, b={self.b}")
@@ -122,7 +122,7 @@ class IntersectionForm:
         m = tuple(tuple(row) for row in self.matrix)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise InvalidParamsError("intersection form must be 2x2")
-        if any(not isinstance(e, int) or isinstance(e, bool) for r in m for e in r):
+        if not all(is_int(e) for r in m for e in r):
             raise InvalidParamsError("intersection form must have integer entries")
         if m[0][1] != m[1][0]:
             raise InvalidParamsError(f"intersection form must be symmetric, got {m}")
@@ -251,7 +251,7 @@ def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[M
         q = form.matrix
     else:
         q = IntersectionForm(form).matrix
-    if not isinstance(bound, int) or bound < 1:
+    if not is_int(bound) or bound < 1:
         raise InvalidParamsError(f"bound must be a positive integer, got {bound!r}")
     return _form_automorphisms(q, bound)
 

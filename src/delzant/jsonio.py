@@ -49,7 +49,7 @@ from .circle_actions import (
 )
 from .errors import FormatError, OutputTooLargeError
 from .hirzebruch import BlowUp, HirzebruchParams, ManifoldClass, SphereProduct
-from .lattice import IntVec2, RatVec2, UnimodularAffine, as_integer, as_rational
+from .lattice import IntVec2, RatVec2, UnimodularAffine, as_integer, as_rational, is_int
 from .polygon import DelzantReport, Polygon, make_polygon
 
 
@@ -76,7 +76,7 @@ def rational_from_json(value) -> Fraction:
 
 
 def _int_from_json(value, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
+    _require(is_int(value), f"{what} must be an integer")
     return value
 
 

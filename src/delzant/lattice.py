@@ -25,8 +25,13 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 IDENTITY_MAT: Mat2 = ((1, 0), (0, 1))
 
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 _INTEGER = re.compile(r"-?\d+", re.ASCII)
+
+
+def is_int(value) -> bool:
+    """True for a Python ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def as_integer(text: str) -> int:
@@ -47,7 +52,8 @@ def as_rational(value) -> Fraction:
     exponents) and have a nonzero denominator; anything else raises
     ``FormatError``.  Floats are rejected outright rather than
     converted: a float in the input is always a bug under the exactness
-    contract.
+    contract.  A string is matched once, and the numerator and
+    denominator it captures build the ``Fraction``.
     """
     if isinstance(value, bool):
         raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -56,10 +62,12 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
+        match = _RATIONAL.fullmatch(value)
+        if not match:
             raise FormatError(f"invalid rational {value!r}: expected 'p' or 'p/q'")
+        num, den = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
             raise FormatError(f"invalid rational {value!r}: {exc}") from exc
     raise TypeError(f"cannot interpret {value!r} as a rational (floats are not allowed)")
@@ -208,7 +216,7 @@ class UnimodularAffine:
         lin = tuple(tuple(row) for row in self.linear)
         if len(lin) != 2 or any(len(row) != 2 for row in lin):
             raise NotUnimodularError("linear part must be a 2x2 integer matrix")
-        if any(not isinstance(e, int) or isinstance(e, bool) for row in lin for e in row):
+        if not all(is_int(e) for row in lin for e in row):
             raise NotUnimodularError(f"linear part {lin} must have integer entries")
         object.__setattr__(self, "linear", lin)
         if mat_det(lin) not in (1, -1):

@@ -1,23 +1,94 @@
-"""Reference implementations of the graph decisions, kept as test oracles.
+"""Reference implementations of the graph code, kept as test oracles.
 
-These are the original exhaustive versions of ``check_extendable`` and of
-the translated isomorphism test: every candidate level rescans every
-edge, and every label-preserving node permutation is tried with the
-edges compared only at the end.  They are slow (quadratic and
-exponential) but obviously correct, and the agreement tests compare the
-library against them on seeded random graphs.
+``reference_circle_graph`` is the earlier ``circle_graph``: it tags every
+node spec with a string, sorts the specs by Fraction-keyed tuples and
+recomputes both weights at every vertex.  The others are the original
+exhaustive versions of ``check_extendable`` and of the translated
+isomorphism test: every candidate level rescans every edge, and every
+label-preserving node permutation is tried with the edges compared only
+at the end.  They are slow (quadratic and exponential) but obviously
+correct, and the agreement tests compare the library against them on
+seeded random polygons and graphs.
 """
 
 from itertools import permutations
 
 from delzant import (
+    CircleDirection,
     ExtendabilityReport,
     FatVertex,
+    IntVec2,
     IsolatedPoint,
     LabeledGraph,
+    Polygon,
     Violation,
+    ZkEdge,
+    edge_data,
     flip_graph,
+    is_delzant,
 )
+from delzant.circle_actions import GraphNode
+from delzant.errors import NotDelzantError
+
+
+def reference_circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
+    """Labeled graph of the circle subaction with primitive direction xi."""
+    if not isinstance(direction, CircleDirection):
+        direction = CircleDirection(direction)
+    xi = direction.xi
+    report = is_delzant(poly)
+    if not report.is_delzant:
+        raise NotDelzantError(f"polygon is not Delzant: failures {report.failures}")
+
+    edges = edge_data(poly)
+    n = len(edges)
+    pts = poly.vertices
+    speeds = [xi.dot(e.direction) for e in edges]
+    moments = [p.dot(xi) for p in pts]
+
+    # vertex i sits between edge i-1 (incoming) and edge i (outgoing)
+    level_edge_of_vertex = {}
+    for i in range(n):
+        if speeds[i] == 0:
+            level_edge_of_vertex[i] = i
+            level_edge_of_vertex[(i + 1) % n] = i
+
+    node_specs: list[tuple] = []
+    for i in range(n):
+        if speeds[i] == 0:
+            node_specs.append((moments[i], "edge", i))
+    for i in range(n):
+        if i not in level_edge_of_vertex:
+            node_specs.append((moments[i], "vertex", i))
+    node_specs.sort(key=lambda spec: (spec[0], spec[1], spec[2]))
+
+    nodes: list[GraphNode] = []
+    node_of_vertex: dict[int, int] = {}
+    for moment, kind, i in node_specs:
+        if kind == "edge":
+            nodes.append(FatVertex(moment, edges[i].lattice_length, 0))
+            node_of_vertex[i] = len(nodes) - 1
+            node_of_vertex[(i + 1) % n] = len(nodes) - 1
+        else:
+            away = (edges[i].direction, -edges[(i - 1) % n].direction)
+            nodes.append(IsolatedPoint(moments[i], (xi.dot(away[0]), xi.dot(away[1]))))
+            node_of_vertex[i] = len(nodes) - 1
+
+    zk_edges = []
+    for i in range(n):
+        if abs(speeds[i]) >= 2:
+            ends = (i, (i + 1) % n)
+            if moments[ends[0]] > moments[ends[1]]:
+                ends = (ends[1], ends[0])
+            zk_edges.append(
+                ZkEdge(
+                    abs(speeds[i]),
+                    (node_of_vertex[ends[0]], node_of_vertex[ends[1]]),
+                    (moments[ends[0]], moments[ends[1]]),
+                )
+            )
+    zk_edges.sort(key=lambda e: (e.moment_interval, e.k, e.endpoints))
+    return LabeledGraph(tuple(nodes), tuple(zk_edges))
 
 
 def reference_check_extendable(g: LabeledGraph) -> ExtendabilityReport:

@@ -21,6 +21,7 @@ from delzant import (
     betti_numbers,
     check_extendable,
     circle_graph,
+    edge_data,
     fixed_point_data,
     flip_graph,
     graphs_isomorphic,
@@ -34,10 +35,21 @@ from delzant.errors import (
     NonPrimitiveDirectionError,
     NotDelzantError,
 )
-from delzant.lattice import mat_transpose, mat_vec
+from delzant.lattice import mat_inverse_transpose, mat_transpose, mat_vec
 
-from reference_graphs import reference_check_extendable, reference_graphs_isomorphic
-from support import primitive_directions, rand_params, rand_unimodular_linear
+from reference_graphs import (
+    reference_check_extendable,
+    reference_circle_graph,
+    reference_graphs_isomorphic,
+)
+from support import (
+    primitive_directions,
+    rand_affine,
+    rand_params,
+    rand_rational,
+    rand_unimodular_linear,
+)
+from test_polygon_oracle import cut_corners, d4_pair, outcome, rand_convex
 
 UNIT_SQUARE = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -291,6 +303,26 @@ def test_graph_invariants_enforced():
         FatVertex(0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        pytest.param(ZkEdge, (2, (0.9, 1.7), (0, 1)), id="float-endpoints"),
+        pytest.param(ZkEdge, (2, ("0", "1"), (0, 1)), id="string-endpoints"),
+        pytest.param(ZkEdge, (2, (0, 1, 2), (0, 1)), id="three-endpoints"),
+        pytest.param(FatVertex, (0, 1, True), id="bool-surface-genus"),
+        pytest.param(SurfaceFixed, (0, True), id="bool-fixed-genus"),
+        pytest.param(SurfaceFixed, (False,), id="bool-surface-index"),
+        pytest.param(IsolatedPoint, (0, (True, -1)), id="bool-weight"),
+        pytest.param(IsolatedFixed, (False,), id="bool-isolated-index"),
+        pytest.param(IsolatedFixed, (2.0,), id="float-isolated-index"),
+    ],
+)
+def test_graph_types_reject_non_integers(cls, args):
+    # bool passes isinstance(x, int), and int() would truncate floats and parse strings
+    with pytest.raises(GraphError):
+        cls(*args)
+
+
 def test_weights_sorted_on_construction():
     assert IsolatedPoint(0, (2, -1)).weights == (-1, 2)
 
@@ -392,6 +424,63 @@ def test_agrees_with_reference_on_random_graphs():
         seen["isomorphic" if plain else "flipped" if flipped else "different"] += 1
     # the corpus exercises every outcome, not just the easy ones
     assert min(seen.values()) >= 500, seen
+
+
+def _mapped(rng: Random, poly, directions) -> tuple:
+    """``poly`` under a random lattice map x -> Rx + v, and ``directions``
+    carried along by R^{-T}, which keeps their level lines: the image's
+    moments under R^{-T} xi are the original's under xi, shifted."""
+    transform = rand_affine(rng)
+    carry = mat_inverse_transpose(transform.linear)
+    return apply_map(poly, transform), [mat_vec(carry, xi) for xi in directions]
+
+
+def _oracle_polygons(rng: Random):
+    """Pairs (polygon, extra directions): mapped Delzant triangles, standard
+    trapezoids (m = 0..8) and D4-symmetric corner-cut polygons with the
+    directions that give them level edges and tied levels; corner-cut
+    n-gons up to n = 64 with the direction and the normal of one edge; and
+    a few polygons that are not Delzant."""
+    for _ in range(80):
+        size = rand_rational(rng)
+        triangle = make_polygon([(0, 0), (size, 0), (0, size)])
+        yield _mapped(rng, triangle, [IntVec2(0, 1), IntVec2(1, 0), IntVec2(1, 1)])
+    for m in range(9):
+        for _ in range(8):
+            params = rand_params(rng, 0)
+            params = HirzebruchParams(params.a + Fraction(m, 2) * params.b, params.b, m)
+            yield _mapped(rng, standard_trapezoid(params), [IntVec2(0, 1)])
+    symmetric = (IntVec2(1, 0), IntVec2(0, 1), IntVec2(1, 1), IntVec2(1, -1))
+    for _ in range(40):
+        yield _mapped(rng, d4_pair(rng)[0], symmetric)
+    for _ in range(15):
+        poly = standard_trapezoid(rand_params(rng))
+        for cuts in (1, 2, 4, 8, 16, 32, 60):
+            poly = cut_corners(poly, rng, cuts - (len(poly) - 4))
+            edge = rng.choice(edge_data(poly))
+            yield _mapped(rng, poly, [edge.direction, edge.inward_normal])
+    for _ in range(10):
+        yield rand_convex(rng), []
+
+
+def test_circle_graph_agrees_with_reference():
+    rng = Random(39)
+    seen = {"cases": 0, "surfaces": 0, "ties": 0, "zk": 0, "not_delzant": 0}
+    for poly, extra in _oracle_polygons(rng):
+        for xi in primitive_directions(3) + extra + [-xi for xi in extra]:
+            expected = outcome(reference_circle_graph, poly, xi)
+            seen["cases"] += 1
+            try:
+                g = circle_graph(poly, xi)
+            except NotDelzantError as exc:
+                assert f"NotDelzantError: {exc}" == expected, (poly, xi)
+                seen["not_delzant"] += 1
+                continue
+            assert repr(g) == expected, (poly, xi)
+            seen["surfaces"] += any(isinstance(node, FatVertex) for node in g.nodes)
+            seen["ties"] += len({node.moment for node in g.nodes}) < len(g.nodes)
+            seen["zk"] += bool(g.edges)
+    assert seen["cases"] >= 10_000 and min(seen.values()) >= 100, seen
 
 
 def _tied_levels_graph(levels: int, rewired: bool) -> LabeledGraph:

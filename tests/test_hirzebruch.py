@@ -162,6 +162,12 @@ def test_count_matches_enumeration_and_entries_map_back():
             assert manifold_of(p) == m
 
 
+@pytest.mark.parametrize("bound", [0, -1, True, 2.0])
+def test_form_automorphisms_bound_must_be_a_positive_integer(bound):
+    with pytest.raises(InvalidParamsError):
+        form_automorphisms(HYPERBOLIC_FORM, bound)
+
+
 def test_form_automorphisms_counts_stable_across_bounds():
     for bound in (1, 2, 3, 5):
         assert len(form_automorphisms(HYPERBOLIC_FORM, bound)) == 4

@@ -1,12 +1,14 @@
 """Serialization round trips and format validation."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from delzant import (
     BlowUp,
+    FatVertex,
     FixedPointData,
     HirzebruchParams,
     IntVec2,
@@ -25,6 +27,7 @@ from delzant import (
 )
 from delzant import jsonio
 from delzant.errors import FormatError
+from delzant.lattice import as_rational
 
 
 def test_rational_strings():
@@ -80,9 +83,13 @@ def test_manifold_round_trip():
 
 
 def test_graph_round_trip():
-    g = circle_graph(standard_trapezoid(HirzebruchParams(2, 1, 2)), IntVec2(1, 0))
-    data = json.loads(json.dumps(jsonio.graph_to_json(g)))
-    assert jsonio.graph_from_json(data) == g
+    for g in (
+        circle_graph(standard_trapezoid(HirzebruchParams(2, 1, 2)), IntVec2(1, 0)),
+        circle_graph(standard_trapezoid(HirzebruchParams(Fraction(7, 3), 1, 3)), IntVec2(-2, 1)),
+        LabeledGraph((FatVertex(0, 1, 2), FatVertex(Fraction(-1, 2), Fraction(3, 4), 0))),
+    ):
+        data = json.loads(json.dumps(jsonio.graph_to_json(g)))
+        assert jsonio.graph_from_json(data) == g
 
 
 def test_fixed_data_round_trip():
@@ -154,11 +161,11 @@ def test_graph_dot_groups_levels_in_first_seen_order():
     ]
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["2.5", "1e3", " 5/2", "5/2 ", "1_0", "+1", "1/-2", "5/", "/2", "--1", "٣", "", "1/0",
-     "7" * 5000],
-)
+BAD_RATIONALS = ["2.5", "1e3", " 5/2", "5/2 ", "1_0", "+1", "1/-2", "5/", "/2", "--1", "٣", "",
+                 "1/0", "7" * 5000]
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS)
 def test_rational_grammar_is_strict(text):
     with pytest.raises(FormatError):
         jsonio.rational_from_json(text)
@@ -170,3 +177,25 @@ def test_rational_grammar_accepts_integers_and_fractions():
     assert jsonio.rational_from_json("-0") == 0
     assert jsonio.rational_from_json("007/014") == Fraction(1, 2)
     assert jsonio.rational_from_json("-12/8") == Fraction(-3, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    BAD_RATIONALS + ["0", "-0", "007/014", "-12/8", "-28325/7", "-3/0", "0/0", "7" * 4300,
+                     "-" + "7" * 4300, "-" + "7" * 4301, "1/" + "7" * 4301, "7" * 4301 + "/0"],
+)
+def test_as_rational_agrees_with_fraction_parsing(text):
+    """One match and one Fraction give the value and the error message
+    that the grammar check followed by ``Fraction(text)`` gives."""
+    if not re.fullmatch(r"-?\d+(/\d+)?", text, re.ASCII):
+        expected = f"invalid rational {text!r}: expected 'p' or 'p/q'"
+    else:
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            expected = f"invalid rational {text!r}: {exc}"
+    try:
+        got = as_rational(text)
+    except FormatError as exc:
+        got = str(exc)
+    assert got == expected

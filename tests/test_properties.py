@@ -13,17 +13,24 @@ from delzant import (
     SphereProduct,
     UnimodularAffine,
     apply_map,
+    betti_numbers,
+    check_extendable,
+    circle_graph,
     classify_quadrilateral,
     congruent,
     count_tori,
     edge_data,
     enumerate_tori,
+    fixed_point_data,
+    flip_graph,
+    graphs_isomorphic,
     make_polygon,
     standard_trapezoid,
 )
 from delzant.lattice import mat_vec
 
-from test_polygon_oracle import convex_hull
+from support import primitive_directions
+from test_polygon_oracle import convex_hull, cut_corners
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 # negative values, large random denominators, and the coprime denominators
@@ -64,6 +71,18 @@ def canonical_params(draw):
     if m == 0 and a < b:
         a, b = b, a
     return HirzebruchParams(a, b, m)
+
+
+@st.composite
+def corner_cut_polygons(draw):
+    """A standard trapezoid with up to eight corners cut by toric blow-ups,
+    under a random lattice map: a Delzant polygon."""
+    poly = standard_trapezoid(draw(canonical_params()))
+    poly = cut_corners(poly, draw(st.randoms(use_true_random=False)), draw(st.integers(0, 8)))
+    return apply_map(poly, draw(unimodular_affines()))
+
+
+DIRECTIONS = primitive_directions(3)
 
 
 @given(convex_polygons())
@@ -122,3 +141,27 @@ def test_congruent_agrees_with_classification(params1, params2, same, t1, t2):
     assert classify_quadrilateral(quad1)[0] == params1
     assert classify_quadrilateral(quad2)[0] == params2
     assert (congruent(quad1, quad2) is not None) == (params1 == params2)
+
+
+@given(corner_cut_polygons())
+def test_betti_numbers_of_every_circle_action(poly):
+    for xi in DIRECTIONS:
+        fixed = fixed_point_data(circle_graph(poly, xi))
+        assert betti_numbers(fixed) == (1, 0, len(poly) - 2, 0, 1), xi
+
+
+@given(corner_cut_polygons())
+def test_circle_actions_of_delzant_polygons_extend(poly):
+    for xi in DIRECTIONS:
+        assert check_extendable(circle_graph(poly, xi)).extendable, xi
+
+
+@given(corner_cut_polygons(), st.sampled_from(DIRECTIONS))
+def test_flip_graph_is_an_involution(poly, xi):
+    g = circle_graph(poly, xi)
+    assert flip_graph(flip_graph(g)) == g
+
+
+@given(corner_cut_polygons(), st.sampled_from(DIRECTIONS))
+def test_reversed_direction_gives_the_flipped_graph(poly, xi):
+    assert graphs_isomorphic(circle_graph(poly, -xi), flip_graph(circle_graph(poly, xi)))
