@@ -32,7 +32,6 @@ strictly between the extrema meets more than two non-free orbits.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -41,12 +40,11 @@ from .errors import (
     NonPrimitiveDirectionError,
     NotDelzantError,
 )
-from .lattice import IntVec2, as_rational, is_int, primitive
+from .lattice import IntVec2, _Value, as_rational, is_int, primitive
 from .polygon import Polygon, edge_data, is_delzant
 
 
-@dataclass(frozen=True)
-class CircleDirection:
+class CircleDirection(_Value):
     """Primitive generator of a circle subgroup of the 2-torus.
 
     Non-primitive input is rejected rather than reduced: a non-primitive
@@ -54,96 +52,87 @@ class CircleDirection:
     the gcd would paper over a caller bug.
     """
 
-    xi: IntVec2
+    _fields = ("xi",)
 
-    def __post_init__(self):
-        xi = self.xi if isinstance(self.xi, IntVec2) else IntVec2(*self.xi)
-        object.__setattr__(self, "xi", xi)
+    def __init__(self, xi: IntVec2):
+        if not isinstance(xi, IntVec2):
+            xi = IntVec2(*xi)
         if xi.is_zero() or primitive(xi) != xi:
             raise NonPrimitiveDirectionError(f"direction {(xi.x, xi.y)} is not primitive")
+        self.__dict__.update(xi=xi)
 
 
-@dataclass(frozen=True)
-class IsolatedPoint:
+class IsolatedPoint(_Value):
     """Isolated fixed point with its two nonzero isotropy weights, sorted."""
 
-    moment: Fraction
-    weights: tuple[int, int]
+    _fields = ("moment", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "moment", as_rational(self.moment))
-        w = tuple(self.weights)
+    def __init__(self, moment: Fraction, weights: tuple[int, int]):
+        moment = as_rational(moment)
+        w = tuple(weights)
         if len(w) != 2 or not all(is_int(x) and x != 0 for x in w):
-            raise GraphError(f"weights must be a pair of nonzero integers, got {self.weights!r}")
-        object.__setattr__(self, "weights", tuple(sorted(w)))
+            raise GraphError(f"weights must be a pair of nonzero integers, got {weights!r}")
+        self.__dict__.update(moment=moment, weights=tuple(sorted(w)))
 
 
-@dataclass(frozen=True)
-class FatVertex:
+class FatVertex(_Value):
     """Fixed surface: moment level, positive symplectic area, genus."""
 
-    moment: Fraction
-    area: Fraction
-    genus: int = 0
+    _fields = ("moment", "area", "genus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "moment", as_rational(self.moment))
-        object.__setattr__(self, "area", as_rational(self.area))
-        if self.area <= 0:
-            raise GraphError(f"fixed surface area must be positive, got {self.area}")
-        if not is_int(self.genus) or self.genus < 0:
-            raise GraphError(f"genus must be a nonnegative integer, got {self.genus!r}")
+    def __init__(self, moment: Fraction, area: Fraction, genus: int = 0):
+        moment, area = as_rational(moment), as_rational(area)
+        if area <= 0:
+            raise GraphError(f"fixed surface area must be positive, got {area}")
+        if not is_int(genus) or genus < 0:
+            raise GraphError(f"genus must be a nonnegative integer, got {genus!r}")
+        self.__dict__.update(moment=moment, area=area, genus=genus)
 
 
 GraphNode = IsolatedPoint | FatVertex
 
 
-@dataclass(frozen=True)
-class ZkEdge:
+class ZkEdge(_Value):
     """Sphere rotated with speed k >= 2, joining two nodes of the graph.
 
     ``endpoints`` are node indices ordered so the first has the lower
     moment; ``moment_interval`` repeats the endpoint moment values.
     """
 
-    k: int
-    endpoints: tuple[int, int]
-    moment_interval: tuple[Fraction, Fraction]
+    _fields = ("k", "endpoints", "moment_interval")
 
-    def __post_init__(self):
-        if not is_int(self.k) or self.k < 2:
-            raise GraphError(f"isotropy order k must be an integer >= 2, got {self.k!r}")
-        lo, hi = (as_rational(t) for t in self.moment_interval)
+    def __init__(self, k: int, endpoints: tuple[int, int],
+                 moment_interval: tuple[Fraction, Fraction]):
+        if not is_int(k) or k < 2:
+            raise GraphError(f"isotropy order k must be an integer >= 2, got {k!r}")
+        lo, hi = (as_rational(t) for t in moment_interval)
         if not lo < hi:
             raise GraphError(f"moment interval must be increasing, got ({lo}, {hi})")
-        object.__setattr__(self, "moment_interval", (lo, hi))
-        if len(self.endpoints) != 2 or not all(is_int(i) for i in self.endpoints):
-            raise GraphError(f"endpoints must be a pair of node indices, got {self.endpoints!r}")
-        object.__setattr__(self, "endpoints", tuple(self.endpoints))
+        if len(endpoints) != 2 or not all(is_int(i) for i in endpoints):
+            raise GraphError(f"endpoints must be a pair of node indices, got {endpoints!r}")
+        self.__dict__.update(k=k, endpoints=tuple(endpoints), moment_interval=(lo, hi))
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[ZkEdge, ...] = ()
+class LabeledGraph(_Value):
+    _fields = ("nodes", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.nodes:
+    def __init__(self, nodes: tuple[GraphNode, ...], edges: tuple[ZkEdge, ...] = ()):
+        nodes, edges = tuple(nodes), tuple(edges)
+        if not nodes:
             raise GraphError("graph needs at least one node")
-        moments = [n.moment for n in self.nodes]
+        moments = [n.moment for n in nodes]
         lo, hi = min(moments), max(moments)
         if moments.count(lo) != 1 or (lo != hi and moments.count(hi) != 1):
             raise GraphError("moment extrema must each be attained by exactly one node")
-        for e in self.edges:
+        for e in edges:
             i, j = e.endpoints
-            if not (0 <= i < len(self.nodes) and 0 <= j < len(self.nodes)):
+            if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
                 raise GraphError(f"edge endpoints {e.endpoints} out of range")
-            if (self.nodes[i].moment, self.nodes[j].moment) != e.moment_interval:
+            if (nodes[i].moment, nodes[j].moment) != e.moment_interval:
                 raise GraphError(
                     f"edge interval {e.moment_interval} does not match endpoint moments"
                 )
+        self.__dict__.update(nodes=nodes, edges=edges)
 
     @property
     def min_moment(self) -> Fraction:
@@ -329,42 +318,41 @@ def _isomorphic_translated(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return pos == len(order)
 
 
-@dataclass(frozen=True)
-class IsolatedFixed:
+class IsolatedFixed(_Value):
     """Isolated fixed point of even index 0, 2, or 4."""
 
-    index: int
+    _fields = ("index",)
 
-    def __post_init__(self):
-        if not is_int(self.index) or self.index not in (0, 2, 4):
-            raise GraphError(f"isolated fixed point index must be 0, 2, or 4, got {self.index!r}")
+    def __init__(self, index: int):
+        if not is_int(index) or index not in (0, 2, 4):
+            raise GraphError(f"isolated fixed point index must be 0, 2, or 4, got {index!r}")
+        self.__dict__.update(index=index)
 
 
-@dataclass(frozen=True)
-class SurfaceFixed:
+class SurfaceFixed(_Value):
     """Fixed surface of index 0 (minimum) or 2 (maximum)."""
 
-    index: int
-    genus: int = 0
+    _fields = ("index", "genus")
 
-    def __post_init__(self):
-        if not is_int(self.index) or self.index not in (0, 2):
-            raise GraphError(f"fixed surface index must be 0 or 2, got {self.index!r}")
-        if not is_int(self.genus) or self.genus < 0:
-            raise GraphError(f"genus must be a nonnegative integer, got {self.genus!r}")
+    def __init__(self, index: int, genus: int = 0):
+        if not is_int(index) or index not in (0, 2):
+            raise GraphError(f"fixed surface index must be 0 or 2, got {index!r}")
+        if not is_int(genus) or genus < 0:
+            raise GraphError(f"genus must be a nonnegative integer, got {genus!r}")
+        self.__dict__.update(index=index, genus=genus)
 
 
 FixedComponent = IsolatedFixed | SurfaceFixed
 
 
-@dataclass(frozen=True)
-class FixedPointData:
-    components: tuple[FixedComponent, ...]
+class FixedPointData(_Value):
+    _fields = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if sum(1 for c in self.components if c.index == 0) != 1:
+    def __init__(self, components: tuple[FixedComponent, ...]):
+        components = tuple(components)
+        if sum(1 for c in components if c.index == 0) != 1:
             raise GraphError("exactly one fixed component must have index 0")
+        self.__dict__.update(components=components)
 
 
 def fixed_point_data(g: LabeledGraph) -> FixedPointData:
@@ -409,19 +397,21 @@ def betti_numbers(data: FixedPointData) -> tuple[int, int, int, int, int]:
     return tuple(b)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One reason a graph fails the toric-extension criterion."""
+class Violation(_Value):
+    """One reason a graph fails the toric-extension criterion; ``kind`` is
+    "genus" or "level"."""
 
-    kind: str  # "genus" or "level"
-    moment: Fraction | None
-    detail: str
+    _fields = ("kind", "moment", "detail")
+
+    def __init__(self, kind: str, moment: Fraction | None, detail: str):
+        self.__dict__.update(kind=kind, moment=moment, detail=detail)
 
 
-@dataclass(frozen=True)
-class ExtendabilityReport:
-    extendable: bool
-    violations: tuple[Violation, ...]
+class ExtendabilityReport(_Value):
+    _fields = ("extendable", "violations")
+
+    def __init__(self, extendable: bool, violations: tuple[Violation, ...]):
+        self.__dict__.update(extendable=extendable, violations=violations)
 
 
 def check_extendable(g: LabeledGraph) -> ExtendabilityReport:

@@ -34,39 +34,34 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
 from .lattice import (
-    IntVec2, Mat2, RatVec2, UnimodularAffine, as_rational, det2, is_int, mat_det, mat_vec,
+    IntVec2, Mat2, RatVec2, UnimodularAffine, _Value, as_rational, det2, is_int, mat_det,
+    mat_vec,
 )
 from .polygon import Polygon, edge_data, is_delzant, make_polygon
 
 
-@dataclass(frozen=True)
-class HirzebruchParams:
+class HirzebruchParams(_Value):
     """Parameters (a, b, m) of a standard trapezoid.
 
     Canonical form additionally requires a >= b when m = 0; use
     ``canonical()`` to normalize.
     """
 
-    a: Fraction
-    b: Fraction
-    m: int
+    _fields = ("a", "b", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-        if not is_int(self.m) or self.m < 0:
-            raise InvalidParamsError(f"m must be a nonnegative integer, got {self.m!r}")
-        if self.a <= 0 or self.b <= 0:
-            raise InvalidParamsError(f"need a, b > 0, got a={self.a}, b={self.b}")
-        if not self.a > Fraction(self.m, 2) * self.b:
-            raise InvalidParamsError(
-                f"need average width a > (m/2) b, got a={self.a}, b={self.b}, m={self.m}"
-            )
+    def __init__(self, a: Fraction, b: Fraction, m: int):
+        a, b = as_rational(a), as_rational(b)
+        if not is_int(m) or m < 0:
+            raise InvalidParamsError(f"m must be a nonnegative integer, got {m!r}")
+        if a <= 0 or b <= 0:
+            raise InvalidParamsError(f"need a, b > 0, got a={a}, b={b}")
+        if not a > Fraction(m, 2) * b:
+            raise InvalidParamsError(f"need average width a > (m/2) b, got a={a}, b={b}, m={m}")
+        self.__dict__.update(a=a, b=b, m=m)
 
     @property
     def is_canonical(self) -> bool:
@@ -78,48 +73,42 @@ class HirzebruchParams:
         return self
 
 
-@dataclass(frozen=True)
-class SphereProduct:
+class SphereProduct(_Value):
     """Product of two spheres with areas a >= b > 0 (swapped on construction)."""
 
-    a: Fraction
-    b: Fraction
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        a, b = as_rational(self.a), as_rational(self.b)
+    def __init__(self, a: Fraction, b: Fraction):
+        a, b = as_rational(a), as_rational(b)
         if a < b:
             a, b = b, a
         if b <= 0:
             raise InvalidParamsError(f"need a >= b > 0, got a={a}, b={b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(a=a, b=b)
 
 
-@dataclass(frozen=True)
-class BlowUp:
+class BlowUp(_Value):
     """One-point blow-up of the projective plane, line area l > exceptional area e > 0."""
 
-    l: Fraction
-    e: Fraction
+    _fields = ("l", "e")
 
-    def __post_init__(self):
-        object.__setattr__(self, "l", as_rational(self.l))
-        object.__setattr__(self, "e", as_rational(self.e))
-        if not self.l > self.e > 0:
-            raise InvalidParamsError(f"need l > e > 0, got l={self.l}, e={self.e}")
+    def __init__(self, l: Fraction, e: Fraction):
+        l, e = as_rational(l), as_rational(e)
+        if not l > e > 0:
+            raise InvalidParamsError(f"need l > e > 0, got l={l}, e={e}")
+        self.__dict__.update(l=l, e=e)
 
 
 ManifoldClass = SphereProduct | BlowUp
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(_Value):
     """Symmetric nondegenerate 2x2 integer matrix."""
 
-    matrix: Mat2
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        m = tuple(tuple(row) for row in self.matrix)
+    def __init__(self, matrix: Mat2):
+        m = tuple(tuple(row) for row in matrix)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise InvalidParamsError("intersection form must be 2x2")
         if not all(is_int(e) for r in m for e in r):
@@ -128,7 +117,7 @@ class IntersectionForm:
             raise InvalidParamsError(f"intersection form must be symmetric, got {m}")
         if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
             raise InvalidParamsError("intersection form must be nondegenerate")
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(matrix=m)
 
 
 HYPERBOLIC_FORM = IntersectionForm(((0, 1), (1, 0)))

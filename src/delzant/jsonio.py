@@ -113,7 +113,8 @@ def affine_from_json(data) -> UnimodularAffine:
     )
     lin = data["linear"]
     _require(
-        isinstance(lin, list) and len(lin) == 2 and all(len(r) == 2 for r in lin),
+        isinstance(lin, list) and len(lin) == 2
+        and all(isinstance(r, list) and len(r) == 2 for r in lin),
         "'linear' must be a 2x2 integer matrix",
     )
     rows = tuple(tuple(_int_from_json(e, "matrix entry") for e in r) for r in lin)

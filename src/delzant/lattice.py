@@ -13,10 +13,11 @@ stay integral.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import DegenerateDirectionError, FormatError, NotUnimodularError
 
@@ -73,16 +74,66 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational (floats are not allowed)")
 
 
-@dataclass(frozen=True, order=True)
-class IntVec2:
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass lists its field names, in order, in ``_fields``: ``repr``
+    shows them all, and equality and hashing use the field tuple, or the
+    narrower ``_compared`` tuple when the class sets one.  Values of
+    different classes are never equal.  The subclass's ``__init__``
+    validates its arguments and then stores every field at once with
+    ``self.__dict__.update``, which is cheaper than one
+    ``object.__setattr__`` call per field; after that, assignment and
+    deletion raise ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        compared = cls.__dict__.get("_compared", cls._fields)
+        get = attrgetter(*compared)
+        # always a tuple, so that a value hashes like its field tuple
+        cls._key = staticmethod(get if len(compared) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@functools.total_ordering
+class _Ordered:
+    """Mixin for a value type ordered by its field tuple within the class."""
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < self._key(other)
+        return NotImplemented
+
+
+class IntVec2(_Ordered, _Value):
     """Integer lattice vector (edge directions, normals, circle directions)."""
 
-    x: int
-    y: int
+    _fields = ("x", "y")
 
-    def __post_init__(self):
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+    def __init__(self, x: int, y: int):
+        # the exact type rejects bool, and is cheaper than an is_int call
+        if type(x) is not int or type(y) is not int:
             raise TypeError("IntVec2 entries must be integers")
+        self.__dict__.update(x=x, y=y)
 
     def __add__(self, other: "IntVec2") -> "IntVec2":
         return IntVec2(self.x + other.x, self.y + other.y)
@@ -104,16 +155,13 @@ class IntVec2:
         return self.x == 0 and self.y == 0
 
 
-@dataclass(frozen=True, order=True)
-class RatVec2:
+class RatVec2(_Ordered, _Value):
     """Point of the rational plane; also used for translations."""
 
-    x: Fraction
-    y: Fraction
+    _fields = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
+    def __init__(self, x: Fraction, y: Fraction):
+        self.__dict__.update(x=as_rational(x), y=as_rational(y))
 
     def __add__(self, other) -> "RatVec2":
         return RatVec2(self.x + other.x, self.y + other.y)
@@ -199,8 +247,7 @@ def solve_mat2(src: tuple[IntVec2, IntVec2], dst: tuple[IntVec2, IntVec2]) -> Ma
     return ((a // d, b // d), (c // d, e // d))
 
 
-@dataclass(frozen=True)
-class UnimodularAffine:
+class UnimodularAffine(_Value):
     """Affine map x -> R x + v with R an integer matrix of determinant +1 or -1.
 
     These maps form the group of lattice-preserving affine transformations
@@ -209,21 +256,20 @@ class UnimodularAffine:
     reparametrization.
     """
 
-    linear: Mat2 = IDENTITY_MAT
-    translation: RatVec2 = field(default_factory=lambda: RatVec2(Fraction(0), Fraction(0)))
+    _fields = ("linear", "translation")
 
-    def __post_init__(self):
-        lin = tuple(tuple(row) for row in self.linear)
+    def __init__(self, linear: Mat2 = IDENTITY_MAT, translation: RatVec2 | tuple = (0, 0)):
+        lin = tuple(tuple(row) for row in linear)
         if len(lin) != 2 or any(len(row) != 2 for row in lin):
             raise NotUnimodularError("linear part must be a 2x2 integer matrix")
         if not all(is_int(e) for row in lin for e in row):
             raise NotUnimodularError(f"linear part {lin} must have integer entries")
-        object.__setattr__(self, "linear", lin)
         if mat_det(lin) not in (1, -1):
             raise NotUnimodularError(f"linear part {lin} has determinant {mat_det(lin)}")
-        if not isinstance(self.translation, RatVec2):
-            tx, ty = self.translation
-            object.__setattr__(self, "translation", RatVec2(tx, ty))
+        if not isinstance(translation, RatVec2):
+            tx, ty = translation
+            translation = RatVec2(tx, ty)
+        self.__dict__.update(linear=lin, translation=translation)
 
     @classmethod
     def identity(cls) -> "UnimodularAffine":

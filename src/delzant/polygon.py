@@ -30,7 +30,6 @@ the target's.  No image polygon is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -43,6 +42,7 @@ from .lattice import (
     IntVec2,
     RatVec2,
     UnimodularAffine,
+    _Value,
     det2,
     mat_det,
     mat_inverse_transpose,
@@ -51,18 +51,18 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(_Value):
     """One polygon edge: primitive direction, inward normal, lattice length."""
 
-    tail_index: int
-    direction: IntVec2
-    inward_normal: IntVec2
-    lattice_length: Fraction
+    _fields = ("tail_index", "direction", "inward_normal", "lattice_length")
+
+    def __init__(self, tail_index: int, direction: IntVec2, inward_normal: IntVec2,
+                 lattice_length: Fraction):
+        self.__dict__.update(tail_index=tail_index, direction=direction,
+                             inward_normal=inward_normal, lattice_length=lattice_length)
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(_Value):
     """Strictly convex polygon with rational vertices, counterclockwise.
 
     Clockwise input is accepted and silently reversed; ``input_reversed``
@@ -70,14 +70,11 @@ class Polygon:
     The edge data is computed here, once, in integers per edge.
     """
 
-    vertices: tuple[RatVec2, ...]
-    input_reversed: bool = field(default=False, compare=False)
-    _edges: tuple[EdgeData, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("vertices", "input_reversed")
+    _compared = ("vertices",)
 
-    def __post_init__(self):
-        pts = tuple(
-            p if isinstance(p, RatVec2) else RatVec2(p[0], p[1]) for p in self.vertices
-        )
+    def __init__(self, vertices: tuple[RatVec2, ...], input_reversed: bool = False):
+        pts = tuple(p if isinstance(p, RatVec2) else RatVec2(p[0], p[1]) for p in vertices)
         n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
@@ -106,18 +103,21 @@ class Polygon:
             pts = pts[::-1]
             # reversed edge j runs backwards along input edge n - 2 - j
             edges = [(-d, length) for d, length in edges[-2::-1] + edges[-1:]]
-            object.__setattr__(self, "input_reversed", True)
+            input_reversed = True
         elif not all(turn > 0 for turn in turns):
             majority_ccw = sum(1 for turn in turns if turn > 0) * 2 >= n
             bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
             raise NonConvexError((bad + 1) % n)
 
         start = min(range(n), key=lambda i: (pts[i].x, pts[i].y))
-        object.__setattr__(self, "vertices", pts[start:] + pts[:start])
         edges = edges[start:] + edges[:start]
-        object.__setattr__(self, "_edges", tuple(
-            EdgeData(i, d, d.rotate_left(), length) for i, (d, length) in enumerate(edges)
-        ))
+        self.__dict__.update(
+            vertices=pts[start:] + pts[:start],
+            input_reversed=input_reversed,
+            _edges=tuple(
+                EdgeData(i, d, d.rotate_left(), length) for i, (d, length) in enumerate(edges)
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -136,18 +136,19 @@ def edge_data(poly: Polygon) -> tuple[EdgeData, ...]:
     return poly._edges
 
 
-@dataclass(frozen=True)
-class DelzantReport:
+class DelzantReport(_Value):
     """Outcome of the Delzant test.
 
     ``failures`` lists pairs (i, d) where the normals of edges i and i+1
     (cyclically) have determinant d != 1.
     """
 
-    is_delzant: bool
-    normals: tuple[IntVec2, ...]
-    failures: tuple[tuple[int, int], ...]
-    input_reversed: bool = False
+    _fields = ("is_delzant", "normals", "failures", "input_reversed")
+
+    def __init__(self, is_delzant: bool, normals: tuple[IntVec2, ...],
+                 failures: tuple[tuple[int, int], ...], input_reversed: bool = False):
+        self.__dict__.update(is_delzant=is_delzant, normals=normals, failures=failures,
+                             input_reversed=input_reversed)
 
 
 def is_delzant(poly: Polygon) -> DelzantReport:

@@ -238,3 +238,15 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """The value types are plain classes: building them at import time needs
+    neither ``dataclasses`` nor the ``inspect`` module it pulls in, which
+    every CLI call would otherwise pay for."""
+    probe = "import delzant.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -60,6 +60,8 @@ def test_affine_round_trip():
     assert jsonio.affine_from_json(json.loads(json.dumps(data))) == t
     with pytest.raises(FormatError):
         jsonio.affine_from_json({"linear": [[1.0, 0], [0, 1]], "translation": ["0", "0"]})
+    with pytest.raises(FormatError, match="'linear' must be a 2x2 integer matrix"):
+        jsonio.affine_from_json({"linear": [1, 2], "translation": ["0", "0"]})
 
 
 def test_params_round_trip():

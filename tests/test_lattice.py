@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from delzant import IntVec2, RatVec2, UnimodularAffine, det2, primitive
+from delzant import CircleDirection, IntVec2, RatVec2, UnimodularAffine, det2, primitive
 from delzant.errors import DegenerateDirectionError, NotUnimodularError
 from delzant.lattice import as_rational
 
@@ -26,10 +26,17 @@ def test_rational_floor_ceil_exact():
 
 
 def test_as_rational_rejects_floats():
+    """Floats and bools are not numbers here: neither a rational nor a lattice vector
+    entry accepts them."""
     with pytest.raises(TypeError):
         as_rational(0.5)
     with pytest.raises(TypeError):
         as_rational(True)
+    for x, y in ((True, False), (1, False), (True, 0), (0.5, 1), (1, 2.0)):
+        with pytest.raises(TypeError):
+            IntVec2(x, y)
+    with pytest.raises(TypeError):
+        CircleDirection((True, False))
 
 
 @pytest.mark.parametrize(
