@@ -186,7 +186,8 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
     if not params.is_canonical:
         params = params.canonical()
         witness = _SWAP_XY.compose(witness)
-    assert {witness.apply(p) for p in poly.vertices} == set(_trapezoid_corners(params))
+    if {witness.apply(p) for p in poly.vertices} != set(_trapezoid_corners(params)):
+        raise AssertionError(f"witness {witness} does not map the polygon onto {params}")
     return params, witness
 
 

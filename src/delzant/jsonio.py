@@ -25,8 +25,9 @@ Schemas:
                                  {"type": "surface", "index": 0,
                                   "genus": 0}]}
 
-DOT output is deterministic: nodes appear in stored order (sorted by
-moment at construction), fixed surfaces are drawn as boxes, and each
+DOT output is deterministic: nodes appear in the graph's stored order
+(``circle_graph`` sorts them by moment; ``LabeledGraph`` keeps the order
+it is given), fixed surfaces are drawn as boxes, and each
 isotropy sphere is an undirected edge labeled "Z_k".
 """
 

@@ -10,7 +10,8 @@ length:
     edge vector = lattice_length * direction.
 
 The constructor computes this edge data once, in integers per edge, and
-reads convexity and orientation off the signs of det(d_i, d_{i+1}).
+reads convexity and orientation off the signs of det(d_i, d_{i+1}) and
+the number of times the directions turn round, which must be one.
 
 The polygon is Delzant when consecutive primitive inward normals satisfy
 det(u_i, u_{i+1}) = 1 cyclically, i.e. every pair of adjacent normals is
@@ -19,12 +20,11 @@ the moment polygons of toric 4-manifolds.
 
 Congruence here means equality up to an affine map x -> Rx + v with R an
 integer matrix of determinant +1 or -1 (``UnimodularAffine``).
-``congruent`` returns an explicit witness map or None.  It tries all
-cyclic offsets in both orientations.  A candidate is skipped at once
-unless the two polygons' cyclic words of lattice lengths and normal
-determinants line up, which every congruence requires; the survivors
-must carry the integer normal cycle, and then the vertex cycle, onto
-the target's.  No image polygon is built.
+``congruent`` tries every cyclic edge matching in both orientations and
+returns an explicit witness map or None.  A matching survives only when
+the two polygons' cyclic words of lattice lengths and direction
+determinants line up; the words then fix the map, so one integer solve on
+two edge directions and a vertex check decide it.  No polygon is built.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .lattice import (
     UnimodularAffine,
     _Value,
     det2,
-    mat_det,
-    mat_inverse_transpose,
     mat_vec,
     solve_mat2,
 )
@@ -67,7 +65,9 @@ class Polygon(_Value):
 
     Clockwise input is accepted and silently reversed; ``input_reversed``
     records that this happened (it does not participate in equality).
-    The edge data is computed here, once, in integers per edge.
+    The boundary must turn one way at every vertex and wind round once, so
+    a pentagram raises ``NonConvexError``.  The edge data is computed here,
+    once, in integers per edge.
     """
 
     _fields = ("vertices", "input_reversed")
@@ -109,7 +109,13 @@ class Polygon(_Value):
             bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
             raise NonConvexError((bad + 1) % n)
 
-        start = min(range(n), key=lambda i: (pts[i].x, pts[i].y))
+        # d is leftward when (d.x, d.y) < (0, 0); the least vertex is entered by a
+        # leftward edge and exited by one that is not, and each further such
+        # vertex is one more turn of a boundary that winds more than once
+        leftward = [(d.x, d.y) < (0, 0) for d, _ in edges]
+        start, *others = [i for i in range(n) if leftward[i - 1] and not leftward[i]]
+        if others:
+            raise NonConvexError(seen[pts[others[0]]])
         edges = edges[start:] + edges[:start]
         self.__dict__.update(
             vertices=pts[start:] + pts[:start],
@@ -201,33 +207,31 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
     Orientation +1 matches edge i of p1 to edge offset+i of p2; -1 matches
     it to edge offset-i, which is how reflections permute edges.
 
-    Each candidate must first pass the invariant-word prefilter (see
-    ``_invariant_word``).  A map x -> Rx + v with R in GL2(Z) keeps every
-    lattice length, and sends each inward normal u_i to S u_i with
-    S = R^{-T}, so det(S u, S w) = det(R) det(u, w).  With det R = +1 the
-    edges keep their order and p1's word is p2's rotated by 2 * offset.
-    With det R = -1 the edges run backwards, which swaps the arguments of
-    both determinants and cancels the sign, so p1's word is p2's read
-    backwards from position 2 * offset.  A candidate whose words differ
-    therefore cannot be a witness: the prefilter is a necessary
-    condition, skips no congruence and leaves the first witness found
-    unchanged.
+    A candidate is skipped unless the words of ``_invariant_word`` line
+    up.  A map x -> Rx + v with R in GL2(Z) keeps every lattice length and
+    multiplies every determinant of two directions, or of two normals, by
+    det R.  With det R = +1 the edges keep their order and p1's word is
+    p2's rotated by 2 * offset; with det R = -1 they run backwards, which
+    swaps the arguments of both determinants and cancels the sign, so
+    p1's word is p2's read backwards from 2 * offset.  So the prefilter
+    skips no congruence and leaves the first witness unchanged.
 
-    A candidate that passes is checked in full.  The matrix s solved
-    from the first two normals acts on normals and must carry the whole
-    normal cycle (an integer check); the point map is the inverse
-    transpose of s, with the translation fixed by vertex 0.  The
-    candidate is then verified vertex by vertex: the tail of edge i must
-    land on the tail (+1) or head (-1) of its matched edge.  So a
-    returned witness is always exact, and no polygon is built.
+    The words decide the rest.  Let t_i be the direction matched with d_i
+    (negated for -1).  Strict convexity makes d_{i+1} the one x with
+    det(d_i, x) = C_i and det(d_{i-1}, x) = E_i (the words' determinants),
+    and the t_i follow the same recurrence scaled by the orientation.  So
+    when the R with R d_0 = t_0 and R d_1 = t_1 is integral, det R is the
+    orientation and R d_i = t_i for every i.  The translation is fixed by
+    vertex 0, and the tail of edge i must land on the tail (+1) or head
+    (-1) of its matched edge, so a returned witness is always exact.
     """
     n = len(p1)
     if n != len(p2):
         return None
     word1 = _invariant_word(p1)
     word2 = _invariant_word(p2)
-    normals1 = tuple(e.inward_normal for e in edge_data(p1))
-    normals2 = tuple(e.inward_normal for e in edge_data(p2))
+    d1 = [e.direction for e in edge_data(p1)]
+    d2 = [e.direction for e in edge_data(p2)]
     for orientation in (1, -1):
         head = 1 if orientation < 0 else 0
         # entry k of the backwards word is entry -k of p2's word; doubled, so
@@ -238,18 +242,10 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
             # the first entry alone rejects most offsets without a slice
             if cycle[start] != word1[0] or cycle[start:start + 2 * n] != word1:
                 continue
-            s = solve_mat2(
-                (normals1[0], normals1[1]),
-                (normals2[offset], normals2[(offset + orientation) % n]),
-            )
-            if s is None or mat_det(s) != orientation:
+            t0, t1 = d2[offset], d2[(offset + orientation) % n]
+            linear = solve_mat2((d1[0], d1[1]), (t0, t1) if orientation > 0 else (-t0, -t1))
+            if linear is None:
                 continue
-            if any(
-                mat_vec(s, normals1[i]) != normals2[(offset + orientation * i) % n]
-                for i in range(2, n)
-            ):
-                continue
-            linear = mat_inverse_transpose(s)
             targets = [p2.vertices[(offset + orientation * i + head) % n] for i in range(n)]
             transform = UnimodularAffine(linear, targets[0] - mat_vec(linear, p1.vertices[0]))
             if all(transform.apply(p) == q for p, q in zip(p1.vertices[1:], targets[1:])):

@@ -14,6 +14,7 @@ from support import child_env
 
 SQUARE = json.dumps({"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]})
 DEEP = "[" * 100_000
+PENTAGRAM = json.dumps({"vertices": [["0", "0"], ["3", "2"], ["-1", "2"], ["2", "0"], ["1", "3"]]})
 SEVENS = "7" * 4000  # parses, but a + b/2 has too many digits to print
 
 CASES = {
@@ -42,15 +43,18 @@ CASES = {
     "count-tori-deep": (["count-tori", "--manifold", DEEP], "bad_format"),
     "enumerate-tori-deep": (["enumerate-tori", "--manifold", DEEP], "bad_format"),
     "betti-deep": (["betti", "--fixed-data", DEEP], "bad_format"),
+    # every turn is a left turn, but the boundary winds twice
+    "verify-pentagram": (["verify", "@pentagram"], "non_convex"),
 }
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {"bad": tmp_path / "bad.json", "deep": tmp_path / "deep.json",
-             "square": tmp_path / "square.json"}
+             "pentagram": tmp_path / "pentagram.json", "square": tmp_path / "square.json"}
     paths["bad"].write_bytes(b"\xff\xfe{")
     paths["deep"].write_text(DEEP)
+    paths["pentagram"].write_text(PENTAGRAM)
     paths["square"].write_text(SQUARE)
     return {"@" + name: str(path) for name, path in paths.items()}
 

@@ -56,6 +56,23 @@ def test_construction_errors():
         make_polygon([(0, 0), (2, 0), (2, 2), (1, 1), (0, 2)])
 
 
+# every turn has one sign, yet the boundary winds twice; the error names the
+# same vertex in both orientations, by its index in the input
+MULTIPLY_WOUND = {
+    "pentagram": ([(0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)], 2),
+    "octagon": ([(0, 0), (1, 0), (1, 2), (-2, 2), (-2, -2), (1, -2), (1, 1), (0, 1)], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLY_WOUND))
+def test_boundary_winding_more_than_once_is_not_convex(name):
+    points, index = MULTIPLY_WOUND[name]
+    for ordered in (points, points[::-1]):
+        with pytest.raises(NonConvexError) as exc:
+            make_polygon(ordered)
+        assert ordered[exc.value.index] == points[index]
+
+
 def test_edge_data_unit_square():
     edges = edge_data(make_polygon(UNIT_SQUARE))
     assert [e.inward_normal for e in edges] == [

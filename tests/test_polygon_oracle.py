@@ -18,7 +18,7 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant.errors import DelzantError
-from delzant.lattice import mat_vec
+from delzant.lattice import det2, mat_det, mat_vec, solve_mat2
 
 from reference_polygons import (
     ReferencePolygon,
@@ -226,6 +226,67 @@ def test_agrees_with_reference_on_random_polygons():
     assert cases >= 10_000
 
 
+def check_direction_solve(p1: Polygon, p2: Polygon) -> list[int]:
+    """Check the lemma behind ``congruent`` on every candidate it solves,
+    and return the orientations of the candidates checked.
+
+    A candidate matches edge i of p1 with edge offset + orientation * i of
+    p2, and t_i is that edge's direction, negated for orientation -1.  It
+    is solved when the lattice lengths agree, when C_i = det(d_i, d_{i+1})
+    and E_i = det(d_{i-1}, d_{i+1}) of p1 times the orientation equal the
+    same determinants of the t_i, and when the matrix R with R d_0 = t_0
+    and R d_1 = t_1 is integral.  The lemma: det R is the orientation and
+    R d_i = t_i for every i.
+    """
+    n = len(p1)
+    if n != len(p2):
+        return []
+    e1, e2 = edge_data(p1), edge_data(p2)
+    d = [e.direction for e in e1]
+    checked = []
+    for orientation in (1, -1):
+        for offset in range(n):
+            match = [(offset + orientation * i) % n for i in range(n)]
+            t = [e2[j].direction if orientation > 0 else -e2[j].direction for j in match]
+            if any(
+                e1[i].lattice_length != e2[match[i]].lattice_length
+                or orientation * det2(d[i], d[(i + 1) % n]) != det2(t[i], t[(i + 1) % n])
+                or orientation * det2(d[i - 1], d[(i + 1) % n]) != det2(t[i - 1], t[(i + 1) % n])
+                for i in range(n)
+            ):
+                continue
+            linear = solve_mat2((d[0], d[1]), (t[0], t[1]))
+            if linear is None:
+                continue
+            assert mat_det(linear) == orientation, (p1, p2, offset)
+            assert [mat_vec(linear, v) for v in d] == t, (p1, p2, offset, orientation)
+            checked.append(orientation)
+    return checked
+
+
+def test_direction_solve_lemma_on_oracle_pairs():
+    rng = Random(407)
+    checked = []
+    for i in range(300):
+        quad = rand_quadrilateral(rng, i % 4)
+        ngon = cut_corners(quad, rng, rng.randint(1, 3))
+        convex = rand_convex(rng)
+        pairs = [
+            (quad, apply_map(quad, rand_affine(rng))),
+            (ngon, apply_map(ngon, rand_affine(rng))),
+            (convex, apply_map(convex, rand_affine(rng))),
+            (convex, rand_convex(rng)),
+            same_word_triangles(rng),
+        ]
+        if i % 4 == 0:
+            symmetric, moved = d4_pair(rng)
+            pairs += [(symmetric, moved), (symmetric, apply_map(symmetric, rand_affine(rng)))]
+        for p1, p2 in pairs:
+            checked += check_direction_solve(p1, p2)
+    # both orientations, and the eight symmetries of each D4 pair
+    assert checked.count(1) > 1000 and checked.count(-1) > 1000
+
+
 def test_classify_and_congruent_build_no_throwaway_polygons(monkeypatch):
     rng = Random(405)
     pairs = []
@@ -331,19 +392,40 @@ def constructor_inputs(rng: Random, i: int) -> list:
     return out
 
 
+def windings(points) -> int:
+    """How many times the reference polygon's edge directions enter the
+    upper half-plane y > 0 (with the ray y = 0, x < 0) in one walk round
+    the boundary: once for a convex polygon, 0 when the reference rejects
+    the points."""
+    try:
+        poly = ReferencePolygon(tuple(points))
+    except DelzantError:
+        return 0
+    directions = [e.direction for e in reference_edge_data(poly)]
+    upper = [(d.y, -d.x) > (0, 0) for d in directions]
+    return sum(1 for i in range(len(upper)) if upper[i] and not upper[i - 1])
+
+
 def test_constructor_agrees_with_reference():
     rng = Random(505)
     results: dict[str, int] = {}
-    cases = 0
+    cases = wound = 0
     for i in range(700):
         for points in constructor_inputs(rng, i):
             points = encode(points, rng)
             new = outcome(construction, points)
-            assert new == outcome(reference_construction, points), points
+            expected = outcome(reference_construction, points)
+            # the reference checks only the signs of the turns, so it accepts
+            # stars and other boundaries that wind more than once
+            if windings(points) > 1:
+                assert new.startswith("NonConvexError: "), points
+                wound += 1
+            else:
+                assert new == expected, points
             kind = kind_of(points)
             results[kind] = results.get(kind, 0) + 1
             cases += 1
-    assert cases >= 10_000
+    assert cases >= 10_000 and wound > 0
     # every path of the constructor is exercised: both orientations and each error
     for kind in ("clockwise", "counterclockwise", "CollinearVerticesError", "NonConvexError",
                  "RepeatedVertexError", "TooFewVerticesError"):

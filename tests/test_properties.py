@@ -30,7 +30,7 @@ from delzant import (
 from delzant.lattice import mat_vec
 
 from support import primitive_directions
-from test_polygon_oracle import convex_hull, cut_corners
+from test_polygon_oracle import check_direction_solve, convex_hull, cut_corners
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 # negative values, large random denominators, and the coprime denominators
@@ -129,6 +129,12 @@ def test_congruent_finds_a_witness_for_every_image(poly, transform):
     witness = congruent(poly, image)
     assert witness is not None
     assert apply_map(poly, witness) == image
+
+
+@given(corner_cut_polygons(), unimodular_affines())
+def test_direction_solve_carries_every_direction(poly, transform):
+    # the candidate of the map itself always passes the words and the solve
+    assert transform.det in check_direction_solve(poly, apply_map(poly, transform))
 
 
 @given(canonical_params(), canonical_params(), st.booleans(), unimodular_affines(),
