@@ -18,6 +18,13 @@ edge:
     nodes containing its endpoints.  Speed-1 spheres carry no isotropy
     and are not recorded.
 
+``circle_graph`` orders the nodes without a sort, by merging the two
+chains of vertices along which the moment rises from the minimum, one
+each way round the boundary.  Graph values are checked only by the
+public constructors of the graph types, which ``jsonio`` decodes
+through; ``circle_graph`` and ``flip_graph`` build values that are
+valid by construction and skip the checks.
+
 Two graphs are isomorphic when they match node-for-node and
 edge-for-edge after translating both moment scales to start at 0.
 
@@ -40,7 +47,7 @@ from .errors import (
     NonPrimitiveDirectionError,
     NotDelzantError,
 )
-from .lattice import IntVec2, _Value, as_rational, is_int, primitive
+from .lattice import IntVec2, _as_tuple, _Value, as_rational, is_int, primitive
 from .polygon import Polygon, edge_data, is_delzant
 
 
@@ -69,10 +76,10 @@ class IsolatedPoint(_Value):
 
     def __init__(self, moment: Fraction, weights: tuple[int, int]):
         moment = as_rational(moment)
-        w = tuple(weights)
-        if len(w) != 2 or not all(is_int(x) and x != 0 for x in w):
+        w = _as_tuple(weights, 2)
+        if w is None or not all(is_int(x) and x != 0 for x in w):
             raise GraphError(f"weights must be a pair of nonzero integers, got {weights!r}")
-        self.__dict__.update(moment=moment, weights=tuple(sorted(w)))
+        self._store(moment, tuple(sorted(w)))
 
 
 class FatVertex(_Value):
@@ -86,7 +93,7 @@ class FatVertex(_Value):
             raise GraphError(f"fixed surface area must be positive, got {area}")
         if not is_int(genus) or genus < 0:
             raise GraphError(f"genus must be a nonnegative integer, got {genus!r}")
-        self.__dict__.update(moment=moment, area=area, genus=genus)
+        self._store(moment, area, genus)
 
 
 GraphNode = IsolatedPoint | FatVertex
@@ -105,19 +112,29 @@ class ZkEdge(_Value):
                  moment_interval: tuple[Fraction, Fraction]):
         if not is_int(k) or k < 2:
             raise GraphError(f"isotropy order k must be an integer >= 2, got {k!r}")
-        lo, hi = (as_rational(t) for t in moment_interval)
+        interval = _as_tuple(moment_interval, 2)
+        if interval is None:
+            raise GraphError(
+                f"moment interval must be a pair of rationals, got {moment_interval!r}"
+            )
+        lo, hi = map(as_rational, interval)
         if not lo < hi:
             raise GraphError(f"moment interval must be increasing, got ({lo}, {hi})")
-        if len(endpoints) != 2 or not all(is_int(i) for i in endpoints):
+        ends = _as_tuple(endpoints, 2)
+        if ends is None or not all(is_int(i) for i in ends):
             raise GraphError(f"endpoints must be a pair of node indices, got {endpoints!r}")
-        self.__dict__.update(k=k, endpoints=tuple(endpoints), moment_interval=(lo, hi))
+        self._store(k, ends, (lo, hi))
 
 
 class LabeledGraph(_Value):
     _fields = ("nodes", "edges")
 
     def __init__(self, nodes: tuple[GraphNode, ...], edges: tuple[ZkEdge, ...] = ()):
-        nodes, edges = tuple(nodes), tuple(edges)
+        nodes, edges = _as_tuple(nodes), _as_tuple(edges)
+        if nodes is None or not all(isinstance(n, GraphNode) for n in nodes):
+            raise GraphError("graph nodes must be a sequence of IsolatedPoint or FatVertex values")
+        if edges is None or not all(isinstance(e, ZkEdge) for e in edges):
+            raise GraphError("graph edges must be a sequence of ZkEdge values")
         if not nodes:
             raise GraphError("graph needs at least one node")
         moments = [n.moment for n in nodes]
@@ -132,7 +149,7 @@ class LabeledGraph(_Value):
                 raise GraphError(
                     f"edge interval {e.moment_interval} does not match endpoint moments"
                 )
-        self.__dict__.update(nodes=nodes, edges=edges)
+        self._store(nodes, edges)
 
     @property
     def min_moment(self) -> Fraction:
@@ -150,8 +167,23 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     and the moment rises along it when s_i > 0.  A level edge (s_i = 0)
     is one fixed surface, which its tail vertex stands for; its head
     vertex is skipped.  Any other vertex i is an isolated point whose
-    weights are the adjacent speeds (s_i, -s_{i-1}).  A stable sort by
-    moment orders the nodes, so tied points keep their vertex order.
+    weights are the adjacent speeds (s_i, -s_{i-1}).
+
+    Each vertex moment is one ``Fraction`` of an integer numerator and
+    denominator, and moments are compared as integer cross products.  On
+    a strictly convex boundary the speeds are positive on one cyclic run
+    of edges, which starts at the minimum vertex (the i with
+    s_{i-1} <= 0 < s_i, so the head of a bottom level edge).  Walking
+    forwards from it along that run, and backwards from the vertex before
+    it, gives two chains that rise strictly to the top, so one merge on
+    (moment, vertex index) orders the nodes in at most n comparisons.
+    The ranks of the distinct moments are read off the merged order, and
+    the Z_k edges are sorted by the int tuples (lower rank, upper rank, k,
+    lower node, upper node, edge index).
+
+    The values are valid by construction, so they are stored without the
+    checks of the public constructors; the property tests rebuild graphs
+    through those constructors and compare.
     """
     if not isinstance(direction, CircleDirection):
         direction = CircleDirection(direction)
@@ -163,28 +195,63 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     edges = edge_data(poly)
     n = len(edges)
     speeds = [xi.dot(e.direction) for e in edges]
-    moments = [p.dot(xi) for p in poly.vertices]
+    # vertex i has moment num[i] / den[i], with den[i] > 0, not reduced
+    num, den = [], []
+    for p in poly.vertices:
+        d, e = p.x.denominator, p.y.denominator
+        num.append(xi.x * p.x.numerator * e + xi.y * p.y.numerator * d)
+        den.append(d * e)
 
+    def below(i: int, j: int) -> bool:  # vertex i comes before vertex j
+        diff = num[i] * den[j] - num[j] * den[i]
+        return diff < 0 or diff == 0 and i < j
+
+    start = next(i for i in range(n) if speeds[i - 1] <= 0 < speeds[i])
+    walk = [*range(start, n), *range(start)]
+    top = next(k for k, i in enumerate(walk) if speeds[i] <= 0)
+    # walk[:top + 1] forwards and walk[top + 1:] backwards, without the
+    # heads of level edges
+    up = [i for i in walk[:top + 1] if speeds[i - 1]]
+    down = [i for i in walk[:top:-1] if speeds[i - 1]]
+    order, j = [], 0
+    for i in up:
+        while j < len(down) and below(down[j], i):
+            order.append(down[j])
+            j += 1
+        order.append(i)
+    order += down[j:]
+
+    new = object.__new__
     nodes: list[GraphNode] = []
+    rank: list[int] = []  # each node's moment rank among the distinct moments
     node_of_vertex = [0] * n
-    rank: dict[Fraction, int] = {}  # each moment's rank among the distinct moments
-    for i in sorted((i for i in range(n) if speeds[i - 1] != 0), key=moments.__getitem__):
+    r, prev = 0, order[0]
+    for i in order:
+        r += num[i] * den[prev] != num[prev] * den[i]
+        rank.append(r)
+        prev = i
         node_of_vertex[i] = len(nodes)
-        rank.setdefault(moments[i], len(rank))
+        moment = Fraction(num[i], den[i])
         if speeds[i] == 0:
             node_of_vertex[(i + 1) % n] = len(nodes)
-            nodes.append(FatVertex(moments[i], edges[i].lattice_length, 0))
+            nodes.append(new(FatVertex)._store(moment, edges[i].lattice_length, 0))
         else:
-            nodes.append(IsolatedPoint(moments[i], (speeds[i], -speeds[i - 1])))
+            s, t = speeds[i], -speeds[i - 1]
+            nodes.append(new(IsolatedPoint)._store(moment, (s, t) if s < t else (t, s)))
 
-    zk_edges = []
+    zk = []
     for i, speed in enumerate(speeds):
         if abs(speed) >= 2:
-            lo, hi = (i, (i + 1) % n) if speed > 0 else ((i + 1) % n, i)
-            ends = (node_of_vertex[lo], node_of_vertex[hi])
-            zk_edges.append(ZkEdge(abs(speed), ends, (moments[lo], moments[hi])))
-    zk_edges.sort(key=lambda e: (*map(rank.__getitem__, e.moment_interval), e.k, e.endpoints))
-    return LabeledGraph(tuple(nodes), tuple(zk_edges))
+            lo, hi = node_of_vertex[i], node_of_vertex[(i + 1) % n]
+            if speed < 0:
+                lo, hi = hi, lo
+            zk.append((rank[lo], rank[hi], abs(speed), lo, hi, i))
+    zk.sort()
+    zk_edges = tuple(
+        new(ZkEdge)._store(k, (lo, hi), (nodes[lo].moment, nodes[hi].moment))
+        for _, _, k, lo, hi, _ in zk
+    )
+    return new(LabeledGraph)._store(tuple(nodes), zk_edges)
 
 
 def _node_label(node: GraphNode, base: Fraction):
@@ -218,19 +285,26 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
 
 
 def flip_graph(g: LabeledGraph) -> LabeledGraph:
-    """The graph of the reversed circle direction: negate moments and weights."""
+    """The graph of the reversed circle direction: negate moments and weights.
+
+    Flipping keeps every check of the graph types true (the sorted
+    weights (a, b) become (-b, -a), and each edge interval and its
+    endpoints swap ends), so the values are stored without running the
+    checks again.
+    """
+    new = object.__new__
     nodes = tuple(
-        IsolatedPoint(-n.moment, (-n.weights[0], -n.weights[1]))
+        new(IsolatedPoint)._store(-n.moment, (-n.weights[1], -n.weights[0]))
         if isinstance(n, IsolatedPoint)
-        else FatVertex(-n.moment, n.area, n.genus)
+        else new(FatVertex)._store(-n.moment, n.area, n.genus)
         for n in g.nodes
     )
     edges = tuple(
-        ZkEdge(e.k, (e.endpoints[1], e.endpoints[0]),
-               (-e.moment_interval[1], -e.moment_interval[0]))
+        new(ZkEdge)._store(e.k, (e.endpoints[1], e.endpoints[0]),
+                           (-e.moment_interval[1], -e.moment_interval[0]))
         for e in g.edges
     )
-    return LabeledGraph(nodes, edges)
+    return new(LabeledGraph)._store(nodes, edges)
 
 
 def _edge_orders(g: LabeledGraph) -> list[dict[int, tuple[int, ...]]]:
@@ -441,8 +515,9 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
                 )
             )
 
-    # every edge interval runs between the moments of its endpoint nodes
-    # (LabeledGraph enforces it), so the node moments are all the critical values
+    # every edge interval runs between the moments of its endpoint nodes (the
+    # LabeledGraph constructor checks it, and circle_graph and flip_graph build
+    # it so), so the node moments are all the critical values
     critical: list[Fraction] = []
     node_rank = [0] * len(g.nodes)
     for i in sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].moment):

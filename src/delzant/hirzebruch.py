@@ -38,8 +38,8 @@ from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
 from .lattice import (
-    IntVec2, Mat2, RatVec2, UnimodularAffine, _Value, as_rational, det2, is_int, mat_det,
-    mat_vec,
+    IntVec2, Mat2, RatVec2, UnimodularAffine, _Value, _as_mat2, as_rational, det2, is_int,
+    mat_det, mat_vec,
 )
 from .polygon import Polygon, edge_data, is_delzant, make_polygon
 
@@ -108,8 +108,8 @@ class IntersectionForm(_Value):
     _fields = ("matrix",)
 
     def __init__(self, matrix: Mat2):
-        m = tuple(tuple(row) for row in matrix)
-        if len(m) != 2 or any(len(r) != 2 for r in m):
+        m = _as_mat2(matrix)
+        if m is None:
             raise InvalidParamsError("intersection form must be 2x2")
         if not all(is_int(e) for r in m for e in r):
             raise InvalidParamsError("intersection form must have integer entries")

@@ -25,10 +25,13 @@ Schemas:
                                  {"type": "surface", "index": 0,
                                   "genus": 0}]}
 
+Decoding a graph builds it through the public constructors of the graph
+types, which check every value.
+
 DOT output is deterministic: nodes appear in the graph's stored order
-(``circle_graph`` sorts them by moment; ``LabeledGraph`` keeps the order
-it is given), fixed surfaces are drawn as boxes, and each
-isotropy sphere is an undirected edge labeled "Z_k".
+(``circle_graph`` orders them by moment, ties by vertex index;
+``LabeledGraph`` keeps the order it is given), fixed surfaces are drawn
+as boxes, and each isotropy sphere is an undirected edge labeled "Z_k".
 """
 
 from __future__ import annotations
@@ -54,11 +57,6 @@ from .lattice import IntVec2, RatVec2, UnimodularAffine, as_integer, as_rational
 from .polygon import DelzantReport, Polygon, make_polygon
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise FormatError(message)
-
-
 def rational_to_json(q: Fraction) -> str:
     """``str(q)``; ``OutputTooLargeError`` when the numerator or the
     denominator has more digits than ``sys.get_int_max_str_digits()``."""
@@ -72,12 +70,14 @@ def rational_to_json(q: Fraction) -> str:
 
 
 def rational_from_json(value) -> Fraction:
-    _require(isinstance(value, str), f"rationals must be strings like '5/2', got {value!r}")
+    if not isinstance(value, str):
+        raise FormatError(f"rationals must be strings like '5/2', got {value!r}")
     return as_rational(value)
 
 
 def _int_from_json(value, what: str) -> int:
-    _require(is_int(value), f"{what} must be an integer")
+    if not is_int(value):
+        raise FormatError(f"{what} must be an integer")
     return value
 
 
@@ -86,7 +86,8 @@ def point_to_json(p: RatVec2) -> list[str]:
 
 
 def point_from_json(value) -> RatVec2:
-    _require(isinstance(value, (list, tuple)) and len(value) == 2, f"bad point {value!r}")
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise FormatError(f"bad point {value!r}")
     return RatVec2(rational_from_json(value[0]), rational_from_json(value[1]))
 
 
@@ -95,8 +96,10 @@ def polygon_to_json(poly: Polygon) -> dict:
 
 
 def polygon_from_json(data) -> Polygon:
-    _require(isinstance(data, dict) and "vertices" in data, "polygon JSON needs 'vertices'")
-    _require(isinstance(data["vertices"], list), "'vertices' must be a list")
+    if not (isinstance(data, dict) and "vertices" in data):
+        raise FormatError("polygon JSON needs 'vertices'")
+    if not isinstance(data["vertices"], list):
+        raise FormatError("'vertices' must be a list")
     return make_polygon([point_from_json(v) for v in data["vertices"]])
 
 
@@ -108,16 +111,12 @@ def affine_to_json(t: UnimodularAffine) -> dict:
 
 
 def affine_from_json(data) -> UnimodularAffine:
-    _require(
-        isinstance(data, dict) and "linear" in data and "translation" in data,
-        "affine map JSON needs 'linear' and 'translation'",
-    )
+    if not (isinstance(data, dict) and "linear" in data and "translation" in data):
+        raise FormatError("affine map JSON needs 'linear' and 'translation'")
     lin = data["linear"]
-    _require(
-        isinstance(lin, list) and len(lin) == 2
-        and all(isinstance(r, list) and len(r) == 2 for r in lin),
-        "'linear' must be a 2x2 integer matrix",
-    )
+    if not (isinstance(lin, list) and len(lin) == 2
+            and all(isinstance(r, list) and len(r) == 2 for r in lin)):
+        raise FormatError("'linear' must be a 2x2 integer matrix")
     rows = tuple(tuple(_int_from_json(e, "matrix entry") for e in r) for r in lin)
     return UnimodularAffine(rows, point_from_json(data["translation"]))
 
@@ -127,10 +126,8 @@ def params_to_json(p: HirzebruchParams) -> dict:
 
 
 def params_from_json(data) -> HirzebruchParams:
-    _require(
-        isinstance(data, dict) and set(data) >= {"a", "b", "m"},
-        "parameter JSON needs 'a', 'b', 'm'",
-    )
+    if not (isinstance(data, dict) and set(data) >= {"a", "b", "m"}):
+        raise FormatError("parameter JSON needs 'a', 'b', 'm'")
     return HirzebruchParams(
         rational_from_json(data["a"]),
         rational_from_json(data["b"]),
@@ -145,13 +142,16 @@ def manifold_to_json(m: ManifoldClass) -> dict:
 
 
 def manifold_from_json(data) -> ManifoldClass:
-    _require(isinstance(data, dict) and "type" in data, "manifold JSON needs 'type'")
+    if not (isinstance(data, dict) and "type" in data):
+        raise FormatError("manifold JSON needs 'type'")
     kind = data["type"]
     if kind == "s2xs2":
-        _require(set(data) >= {"a", "b"}, "s2xs2 manifold JSON needs 'a' and 'b'")
+        if not set(data) >= {"a", "b"}:
+            raise FormatError("s2xs2 manifold JSON needs 'a' and 'b'")
         return SphereProduct(rational_from_json(data["a"]), rational_from_json(data["b"]))
     if kind == "blowup_cp2":
-        _require(set(data) >= {"l", "e"}, "blowup_cp2 manifold JSON needs 'l' and 'e'")
+        if not set(data) >= {"l", "e"}:
+            raise FormatError("blowup_cp2 manifold JSON needs 'l' and 'e'")
         return BlowUp(rational_from_json(data["l"]), rational_from_json(data["e"]))
     raise FormatError(f"unknown manifold type {kind!r}")
 
@@ -181,14 +181,17 @@ def node_to_json(node: GraphNode) -> dict:
 
 
 def node_from_json(data) -> GraphNode:
-    _require(isinstance(data, dict) and "type" in data and "moment" in data, "bad graph node")
+    if not (isinstance(data, dict) and "type" in data and "moment" in data):
+        raise FormatError("bad graph node")
     moment = rational_from_json(data["moment"])
     if data["type"] == "isolated":
         w = data.get("weights")
-        _require(isinstance(w, list) and len(w) == 2, "isolated node needs two weights")
+        if not (isinstance(w, list) and len(w) == 2):
+            raise FormatError("isolated node needs two weights")
         return IsolatedPoint(moment, tuple(_int_from_json(x, "weight") for x in w))
     if data["type"] == "surface":
-        _require("area" in data, "surface node needs 'area'")
+        if "area" not in data:
+            raise FormatError("surface node needs 'area'")
         return FatVertex(
             moment,
             rational_from_json(data["area"]),
@@ -212,22 +215,21 @@ def graph_to_json(g: LabeledGraph) -> dict:
 
 
 def _list_from_json(value, what: str, length: int | None = None) -> list:
-    _require(
-        isinstance(value, list) and (length is None or len(value) == length),
-        f"{what} must be a list" + ("" if length is None else f" of {length} entries"),
-    )
+    if not (isinstance(value, list) and (length is None or len(value) == length)):
+        raise FormatError(
+            f"{what} must be a list" + ("" if length is None else f" of {length} entries")
+        )
     return value
 
 
 def graph_from_json(data) -> LabeledGraph:
-    _require(isinstance(data, dict) and "nodes" in data, "graph JSON needs 'nodes'")
+    if not (isinstance(data, dict) and "nodes" in data):
+        raise FormatError("graph JSON needs 'nodes'")
     nodes = tuple(node_from_json(n) for n in _list_from_json(data["nodes"], "'nodes'"))
     edges = []
     for e in _list_from_json(data.get("edges", []), "'edges'"):
-        _require(
-            isinstance(e, dict) and set(e) >= {"k", "endpoints", "interval"},
-            "graph edge JSON needs 'k', 'endpoints', 'interval'",
-        )
+        if not (isinstance(e, dict) and set(e) >= {"k", "endpoints", "interval"}):
+            raise FormatError("graph edge JSON needs 'k', 'endpoints', 'interval'")
         edges.append(
             ZkEdge(
                 _int_from_json(e["k"], "'k'"),
@@ -251,10 +253,12 @@ def fixed_data_to_json(data: FixedPointData) -> dict:
 
 
 def fixed_data_from_json(data) -> FixedPointData:
-    _require(isinstance(data, dict) and "components" in data, "fixed data JSON needs 'components'")
+    if not (isinstance(data, dict) and "components" in data):
+        raise FormatError("fixed data JSON needs 'components'")
     components: list[FixedComponent] = []
     for c in _list_from_json(data["components"], "'components'"):
-        _require(isinstance(c, dict) and "type" in c and "index" in c, "bad fixed component")
+        if not (isinstance(c, dict) and "type" in c and "index" in c):
+            raise FormatError("bad fixed component")
         index = _int_from_json(c["index"], "'index'")
         if c["type"] == "isolated":
             components.append(IsolatedFixed(index))
@@ -285,7 +289,8 @@ def matrices_to_json(matrices) -> list:
 
 def xi_from_text(text: str) -> IntVec2:
     parts = text.split(",")
-    _require(len(parts) == 2, f"direction must look like '0,1', got {text!r}")
+    if len(parts) != 2:
+        raise FormatError(f"direction must look like '0,1', got {text!r}")
     return IntVec2(as_integer(parts[0]), as_integer(parts[1]))
 
 

@@ -45,6 +45,26 @@ def as_integer(text: str) -> int:
         raise FormatError(f"invalid integer {text!r}: {exc}") from exc
 
 
+def _as_tuple(value, length: int | None = None) -> tuple | None:
+    """``tuple(value)`` when ``value`` is iterable (with ``length`` items,
+    if given), else None, so that a constructor can turn a malformed shape
+    into its own error instead of a bare ``TypeError`` or ``ValueError``."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        return None
+    return items if length is None or len(items) == length else None
+
+
+def _as_mat2(value) -> Mat2 | None:
+    """``value`` as a pair of pairs, or None when it has another shape."""
+    try:
+        (a, b), (c, d) = value
+    except (TypeError, ValueError):
+        return None
+    return ((a, b), (c, d))
+
+
 def as_rational(value) -> Fraction:
     """Coerce int / Fraction / string to an exact rational.
 
@@ -84,7 +104,8 @@ class _Value:
     validates its arguments and then stores every field at once with
     ``self.__dict__.update``, which is cheaper than one
     ``object.__setattr__`` call per field; after that, assignment and
-    deletion raise ``AttributeError``.
+    deletion raise ``AttributeError``.  ``_store`` is the unchecked
+    store that the graph types share with their builders.
     """
 
     _fields: tuple[str, ...]
@@ -106,6 +127,14 @@ class _Value:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def _store(self, *values):
+        """Store ``values`` as the fields, in ``_fields`` order, unchecked,
+        and return ``self``: a public ``__init__`` stores through it after
+        validating, and code whose values are valid by construction builds
+        with ``object.__new__(cls)._store(...)``."""
+        self.__dict__.update(zip(self._fields, values))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -259,16 +288,20 @@ class UnimodularAffine(_Value):
     _fields = ("linear", "translation")
 
     def __init__(self, linear: Mat2 = IDENTITY_MAT, translation: RatVec2 | tuple = (0, 0)):
-        lin = tuple(tuple(row) for row in linear)
-        if len(lin) != 2 or any(len(row) != 2 for row in lin):
+        lin = _as_mat2(linear)
+        if lin is None:
             raise NotUnimodularError("linear part must be a 2x2 integer matrix")
         if not all(is_int(e) for row in lin for e in row):
             raise NotUnimodularError(f"linear part {lin} must have integer entries")
         if mat_det(lin) not in (1, -1):
             raise NotUnimodularError(f"linear part {lin} has determinant {mat_det(lin)}")
         if not isinstance(translation, RatVec2):
-            tx, ty = translation
-            translation = RatVec2(tx, ty)
+            pair = _as_tuple(translation, 2)
+            if pair is None:
+                raise NotUnimodularError(
+                    f"translation must be a pair of rationals, got {translation!r}"
+                )
+            translation = RatVec2(*pair)
         self.__dict__.update(linear=lin, translation=translation)
 
     @classmethod

@@ -483,6 +483,33 @@ def test_circle_graph_agrees_with_reference():
     assert seen["cases"] >= 10_000 and min(seen.values()) >= 100, seen
 
 
+def test_circle_graph_and_flip_graph_skip_the_constructor_checks(monkeypatch):
+    built = 0
+
+    def counting(construct):
+        def init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            construct(self, *args, **kwargs)
+        return init
+
+    for cls in (IsolatedPoint, FatVertex, ZkEdge, LabeledGraph):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    rng = Random(41)
+    polys = [standard_trapezoid(HirzebruchParams(3 + m, 2, m)) for m in range(5)]
+    polys += [cut_corners(poly, rng, 6) for poly in polys]
+    zk = 0
+    for poly in polys:
+        for xi in primitive_directions(3):
+            g = circle_graph(poly, xi)
+            flip_graph(g)
+            zk += len(g.edges)
+    assert built == 0 and zk > 0
+    # the patch does count what the public constructors build
+    LabeledGraph((IsolatedPoint(0, (1, 1)),))
+    assert built == 2
+
+
 def _tied_levels_graph(levels: int, rewired: bool) -> LabeledGraph:
     """``levels`` levels each holding two identical isolated points, both
     joined to the maximum by a Z_2 edge; ``rewired`` moves the second

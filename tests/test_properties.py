@@ -8,10 +8,14 @@ from hypothesis import assume, given, strategies as st
 
 from delzant import (
     BlowUp,
+    FatVertex,
     HirzebruchParams,
+    IsolatedPoint,
+    LabeledGraph,
     RatVec2,
     SphereProduct,
     UnimodularAffine,
+    ZkEdge,
     apply_map,
     betti_numbers,
     check_extendable,
@@ -171,3 +175,24 @@ def test_flip_graph_is_an_involution(poly, xi):
 @given(corner_cut_polygons(), st.sampled_from(DIRECTIONS))
 def test_reversed_direction_gives_the_flipped_graph(poly, xi):
     assert graphs_isomorphic(circle_graph(poly, -xi), flip_graph(circle_graph(poly, xi)))
+
+
+def _rebuilt(g: LabeledGraph) -> LabeledGraph:
+    """``g`` built again through the public constructors, which run every check."""
+    nodes = [
+        IsolatedPoint(node.moment, node.weights) if isinstance(node, IsolatedPoint)
+        else FatVertex(node.moment, node.area, node.genus)
+        for node in g.nodes
+    ]
+    edges = [ZkEdge(e.k, e.endpoints, e.moment_interval) for e in g.edges]
+    return LabeledGraph(nodes, edges)
+
+
+@given(corner_cut_polygons())
+def test_built_graphs_pass_the_constructor_checks(poly):
+    # circle_graph and flip_graph store their values unchecked
+    for xi in DIRECTIONS:
+        g = circle_graph(poly, xi)
+        for h in (g, flip_graph(g)):
+            rebuilt = _rebuilt(h)
+            assert rebuilt == h and repr(rebuilt) == repr(h), xi

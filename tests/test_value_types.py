@@ -32,6 +32,7 @@ from delzant import (
     ZkEdge,
     edge_data,
 )
+from delzant.errors import GraphError, InvalidParamsError, NotUnimodularError
 
 TRIANGLE = ((0, 0), (1, 0), (0, 1))
 TRIANGLE_REPR = (
@@ -177,3 +178,23 @@ def test_vector_order_is_tuple_order(cls):
     assert sorted(values[::-1]) == sorted(values, key=lambda v: (v.x, v.y))
     with pytest.raises(TypeError):
         IntVec2(0, 0) < RatVec2(0, 0)  # noqa: B015
+
+
+@pytest.mark.parametrize(
+    "cls,args,error",
+    [
+        pytest.param(IntersectionForm, ([1, 2],), InvalidParamsError, id="form-flat"),
+        pytest.param(UnimodularAffine, ([1, 2],), NotUnimodularError, id="affine-flat"),
+        pytest.param(UnimodularAffine, (((1, 0), (0, 1)), (1,)), NotUnimodularError,
+                     id="affine-short-translation"),
+        pytest.param(IsolatedPoint, (0, 5), GraphError, id="point-scalar-weights"),
+        pytest.param(ZkEdge, (2, (0, 1), 5), GraphError, id="edge-scalar-interval"),
+        pytest.param(ZkEdge, (2, 5, (0, 1)), GraphError, id="edge-scalar-endpoints"),
+        pytest.param(LabeledGraph, (5,), GraphError, id="graph-scalar-nodes"),
+        pytest.param(LabeledGraph, ((IsolatedPoint(0, (1, 1)),), (5,)), GraphError,
+                     id="graph-non-edge"),
+    ],
+)
+def test_malformed_shapes_raise_package_errors(cls, args, error):
+    with pytest.raises(error):
+        cls(*args)
