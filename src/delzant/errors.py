@@ -83,6 +83,10 @@ class FormatError(DelzantError):
     code = "bad_format"
 
 
+class NotRationalError(DelzantError, TypeError):
+    code = "not_rational"
+
+
 class OutputTooLargeError(DelzantError):
     """A result has more digits than the interpreter will print
     (``sys.get_int_max_str_digits()``)."""

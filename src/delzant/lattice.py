@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import DegenerateDirectionError, FormatError, NotUnimodularError
+from .errors import DegenerateDirectionError, FormatError, NotRationalError, NotUnimodularError
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -68,30 +68,29 @@ def _as_mat2(value) -> Mat2 | None:
 def as_rational(value) -> Fraction:
     """Coerce int / Fraction / string to an exact rational.
 
-    Strings must match ``-?\\d+(/\\d+)?`` in full (ASCII digits, no
-    sign on the denominator, no spaces, underscores, decimal points or
-    exponents) and have a nonzero denominator; anything else raises
-    ``FormatError``.  Floats are rejected outright rather than
-    converted: a float in the input is always a bug under the exactness
-    contract.  A string is matched once, and the numerator and
-    denominator it captures build the ``Fraction``.
+    An exact ``Fraction`` is returned as it is, by the first check, so a
+    value rebuilt from parsed rationals pays no second coercion.  Strings
+    must match ``-?\\d+(/\\d+)?`` in full (ASCII digits, no sign on the
+    denominator, no spaces, underscores, decimal points or exponents)
+    and have a nonzero denominator, else ``FormatError``; one match
+    builds the ``Fraction``.  Floats, bools and other types raise
+    ``NotRationalError``: a float in the input is always a bug under the
+    exactness contract.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"cannot interpret {value!r} as a rational")
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if not match:
             raise FormatError(f"invalid rational {value!r}: expected 'p' or 'p/q'")
         num, den = match.groups()
         try:
-            return Fraction(int(num), int(den or 1))
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
             raise FormatError(f"invalid rational {value!r}: {exc}") from exc
-    raise TypeError(f"cannot interpret {value!r} as a rational (floats are not allowed)")
+    if is_int(value) or isinstance(value, Fraction):  # a Fraction subclass is copied
+        return Fraction(value)
+    raise NotRationalError(f"cannot interpret {value!r} as a rational (an int, Fraction or str)")
 
 
 class _Value:

@@ -11,7 +11,9 @@ length:
 
 The constructor computes this edge data once, in integers per edge, and
 reads convexity and orientation off the signs of det(d_i, d_{i+1}) and
-the number of times the directions turn round, which must be one.
+the number of times the directions turn round, which must be one.  Such a
+boundary is simple, so no vertex is hashed: a repeated vertex is sought
+only on the way to another error, and replaces that error when found.
 
 The polygon is Delzant when consecutive primitive inward normals satisfy
 det(u_i, u_{i+1}) = 1 cyclically, i.e. every pair of adjacent normals is
@@ -66,67 +68,72 @@ class Polygon(_Value):
     Clockwise input is accepted and silently reversed; ``input_reversed``
     records that this happened (it does not participate in equality).
     The boundary must turn one way at every vertex and wind round once, so
-    a pentagram raises ``NonConvexError``.  The edge data is computed here,
-    once, in integers per edge.
+    a pentagram raises ``NonConvexError``; then the vertices are distinct, so
+    ``RepeatedVertexError`` is sought only when another error is raised.
     """
 
     _fields = ("vertices", "input_reversed")
     _compared = ("vertices",)
 
     def __init__(self, vertices: tuple[RatVec2, ...], input_reversed: bool = False):
-        pts = tuple(p if isinstance(p, RatVec2) else RatVec2(p[0], p[1]) for p in vertices)
+        pts = given = tuple(p if isinstance(p, RatVec2) else RatVec2(p[0], p[1]) for p in vertices)
         n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
-        seen: dict[RatVec2, int] = {}
-        for i, p in enumerate(pts):
-            if p in seen:
-                raise RepeatedVertexError(i)
-            seen[p] = i
 
         # s * (b - a) is an integer vector; with g the gcd of its entries,
         # the edge has direction s * (b - a) / g and lattice length g / s
+        coords = [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in pts]
         edges = []
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            s = math.lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator)
-            dx = b.x.numerator * (s // b.x.denominator) - a.x.numerator * (s // a.x.denominator)
-            dy = b.y.numerator * (s // b.y.denominator) - a.y.numerator * (s // a.y.denominator)
-            g = math.gcd(dx, dy)
-            edges.append((IntVec2(dx // g, dy // g), Fraction(g, s)))
+        for (ax, ad, ay, ae), (bx, bd, by, be) in zip(coords, coords[1:] + coords[:1]):
+            s = math.lcm(ad, ae, bd, be)
+            dx = bx * (s // bd) - ax * (s // ad)
+            dy = by * (s // be) - ay * (s // ae)
+            g = math.gcd(dx, dy) or 1  # a zero edge makes zero turns: a repeat, raised below
+            edges.append((dx // g, dy // g, Fraction(g, s)))
 
         # edge i is a positive multiple of d_i, so det(d_i, d_{i+1}) signs the turn at i + 1
-        turns = [det2(edges[i][0], edges[(i + 1) % n][0]) for i in range(n)]
-        for i, turn in enumerate(turns):
-            if turn == 0:
-                raise CollinearVerticesError((i + 1) % n)
-        if all(turn < 0 for turn in turns):
+        turns = [a * d - b * c for (a, b, _), (c, d, _) in zip(edges, edges[1:] + edges[:1])]
+        if 0 in turns:
+            raise _repeat_error(given) or CollinearVerticesError((turns.index(0) + 1) % n)
+        if max(turns) < 0:
             pts = pts[::-1]
             # reversed edge j runs backwards along input edge n - 2 - j
-            edges = [(-d, length) for d, length in edges[-2::-1] + edges[-1:]]
+            edges = [(-dx, -dy, length) for dx, dy, length in edges[-2::-1] + edges[-1:]]
             input_reversed = True
-        elif not all(turn > 0 for turn in turns):
+        elif min(turns) < 0:
             majority_ccw = sum(1 for turn in turns if turn > 0) * 2 >= n
             bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
-            raise NonConvexError((bad + 1) % n)
+            raise _repeat_error(given) or NonConvexError((bad + 1) % n)
 
         # d is leftward when (d.x, d.y) < (0, 0); the least vertex is entered by a
         # leftward edge and exited by one that is not, and each further such
         # vertex is one more turn of a boundary that winds more than once
-        leftward = [(d.x, d.y) < (0, 0) for d, _ in edges]
+        leftward = [(dx, dy) < (0, 0) for dx, dy, _ in edges]
         start, *others = [i for i in range(n) if leftward[i - 1] and not leftward[i]]
         if others:
-            raise NonConvexError(seen[pts[others[0]]])
+            raise _repeat_error(given) or NonConvexError(given.index(pts[others[0]]))
         edges = edges[start:] + edges[:start]
         self.__dict__.update(
             vertices=pts[start:] + pts[:start],
             input_reversed=input_reversed,
             _edges=tuple(
-                EdgeData(i, d, d.rotate_left(), length) for i, (d, length) in enumerate(edges)
+                EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
+                for i, (dx, dy, length) in enumerate(edges)
             ),
         )
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _repeat_error(points: tuple[RatVec2, ...]) -> RepeatedVertexError | None:
+    """The error for the first vertex equal to an earlier one, or None."""
+    seen = set()
+    for i, p in enumerate(points):
+        if p in seen:
+            return RepeatedVertexError(i)
+        seen.add(p)
 
 
 def make_polygon(points) -> Polygon:

@@ -7,7 +7,12 @@ from random import Random
 import pytest
 
 from delzant import CircleDirection, IntVec2, RatVec2, UnimodularAffine, det2, primitive
-from delzant.errors import DegenerateDirectionError, NotUnimodularError
+from delzant.errors import (
+    DegenerateDirectionError,
+    DelzantError,
+    NotRationalError,
+    NotUnimodularError,
+)
 from delzant.lattice import as_rational
 
 from support import rand_affine
@@ -37,6 +42,15 @@ def test_as_rational_rejects_floats():
             IntVec2(x, y)
     with pytest.raises(TypeError):
         CircleDirection((True, False))
+
+
+@pytest.mark.parametrize("value", [0.5, True, False, None, (1,), [1, 2], b"1", 1j])
+def test_as_rational_raises_a_package_error_for_other_types(value):
+    """Still a ``TypeError``, and also a ``DelzantError`` with its own code."""
+    with pytest.raises(NotRationalError) as exc:
+        as_rational(value)
+    assert isinstance(exc.value, TypeError) and isinstance(exc.value, DelzantError)
+    assert exc.value.code == "not_rational" and repr(value) in str(exc.value)
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delzant import (
     HirzebruchParams,
     IntVec2,
+    Polygon,
     RatVec2,
     UnimodularAffine,
     apply_map,
@@ -18,14 +20,17 @@ from delzant import (
     second_betti_from_edges,
     standard_trapezoid,
 )
+from delzant import jsonio, lattice
 from delzant.errors import (
     CollinearVerticesError,
+    DelzantError,
     NonConvexError,
     RepeatedVertexError,
     TooFewVerticesError,
 )
 
 from support import rand_affine, rand_params
+from test_polygon_oracle import convex_hull, cut_corners
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -71,6 +76,105 @@ def test_boundary_winding_more_than_once_is_not_convex(name):
         with pytest.raises(NonConvexError) as exc:
             make_polygon(ordered)
         assert ordered[exc.value.index] == points[index]
+
+
+coordinates = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2)))
+
+
+@st.composite
+def vertex_lists(draw):
+    """Vertex lists, valid and invalid: random points, their convex hull,
+    the hull wound two or three times or stepped round as a star, either
+    way round, and any of these with one vertex listed a second time."""
+    points = draw(st.lists(st.tuples(coordinates, coordinates), max_size=9))
+    hull = convex_hull(points)
+    n = len(hull)
+    shape = draw(st.sampled_from(("points", "hull", "wound", "star")))
+    if shape == "hull":
+        points = hull
+    elif shape == "wound":
+        points = hull * draw(st.integers(2, 3))
+    elif shape == "star" and n >= 5:
+        # a step prime to n winds round more than once with every turn one way;
+        # any other step lists some vertices twice
+        step = draw(st.integers(2, n - 2))
+        points = [hull[i * step % n] for i in range(n)]
+    if draw(st.booleans()):
+        points = points[::-1]
+    if points and draw(st.booleans()):
+        k = draw(st.integers(0, len(points)))
+        points = points[:k] + [draw(st.sampled_from(points))] + points[k:]
+    return points
+
+
+def construction_outcome(points, **kwargs):
+    """The vertices and edge data built from ``points``, or the type and
+    message of the error raised."""
+    try:
+        poly = Polygon(tuple(points), **kwargs)
+    except DelzantError as exc:
+        return type(exc), str(exc)
+    return poly.vertices, edge_data(poly)
+
+
+@settings(max_examples=500)
+@given(vertex_lists())
+def test_input_reversed_changes_no_outcome(points):
+    assert construction_outcome(points, input_reversed=True) == construction_outcome(points)
+
+
+@settings(max_examples=500)
+@given(vertex_lists())
+def test_a_repeated_vertex_outranks_every_other_error(points):
+    repeats = [i for i, p in enumerate(points) if p in points[:i]]
+    if repeats and len(points) >= 3:
+        expected = (RepeatedVertexError, f"repeated vertex at index {repeats[0]}")
+        assert construction_outcome(points) == expected
+
+
+SQUARE_TWICE = UNIT_SQUARE * 2
+PINNED_OUTCOMES = [
+    # mixed turns, so the turn check rejects it whichever way the caller says it runs
+    ([(0, 0), (2, 1), (4, 0), (1, 2), (3, 3)], True, NonConvexError, 2),
+    # the first repeat in input order, though the boundary runs clockwise
+    ([(2, -1), (1, 1), (3, 2), (2, -1), (0, -2), (2, 3)], False, RepeatedVertexError, 3),
+    (SQUARE_TWICE, False, RepeatedVertexError, 4),
+    (SQUARE_TWICE[::-1], False, RepeatedVertexError, 4),
+]
+
+
+@pytest.mark.parametrize("points,input_reversed,error,index", PINNED_OUTCOMES)
+def test_pinned_construction_errors(points, input_reversed, error, index):
+    with pytest.raises(error) as exc:
+        Polygon(tuple(points), input_reversed=input_reversed)
+    assert type(exc.value) is error and exc.value.index == index
+
+
+def test_building_and_decoding_a_256_gon_hashes_no_vertex(monkeypatch):
+    """Work counters on the constructor's hot path: building a polygon
+    hashes no vertex and no coordinate, and decoding one matches each
+    coordinate string once."""
+    square = make_polygon([(0, 0), (4096, 0), (4096, 4096), (0, 4096)])
+    ngon = cut_corners(square, Random(256), 252)
+    pairs = [(p.x, p.y) for p in ngon.vertices]
+    data = jsonio.polygon_to_json(ngon)
+    counts = {"hash": 0, "parse": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
+
+    class CountingPattern:
+        fullmatch = staticmethod(counting("parse", lattice._RATIONAL.fullmatch))
+
+    monkeypatch.setattr(RatVec2, "__hash__", counting("hash", RatVec2.__hash__))
+    monkeypatch.setattr(Fraction, "__hash__", counting("hash", Fraction.__hash__))
+    monkeypatch.setattr(lattice, "_RATIONAL", CountingPattern())
+    assert make_polygon(pairs) == ngon and counts == {"hash": 0, "parse": 0}
+    assert jsonio.polygon_from_json(data) == ngon
+    assert len(ngon) == 256 and counts == {"hash": 0, "parse": 2 * 256}
 
 
 def test_edge_data_unit_square():

@@ -236,7 +236,10 @@ def check_direction_solve(p1: Polygon, p2: Polygon) -> list[int]:
     and E_i = det(d_{i-1}, d_{i+1}) of p1 times the orientation equal the
     same determinants of the t_i, and when the matrix R with R d_0 = t_0
     and R d_1 = t_1 is integral.  The lemma: det R is the orientation and
-    R d_i = t_i for every i.
+    R d_i = t_i for every i.  Its vertex half: with the translation that
+    sends vertex 0 to its target, every vertex lands on its target, the
+    tail (+1) or head (-1) of the matched edge, because matched edges have
+    equal lattice lengths.
     """
     n = len(p1)
     if n != len(p2):
@@ -260,6 +263,10 @@ def check_direction_solve(p1: Polygon, p2: Polygon) -> list[int]:
                 continue
             assert mat_det(linear) == orientation, (p1, p2, offset)
             assert [mat_vec(linear, v) for v in d] == t, (p1, p2, offset, orientation)
+            head = 1 if orientation < 0 else 0
+            targets = [p2.vertices[(j + head) % n] for j in match]
+            transform = UnimodularAffine(linear, targets[0] - mat_vec(linear, p1.vertices[0]))
+            assert [transform.apply(v) for v in p1.vertices] == targets, (p1, p2, offset)
             checked.append(orientation)
     return checked
 
@@ -285,6 +292,7 @@ def test_direction_solve_lemma_on_oracle_pairs():
             checked += check_direction_solve(p1, p2)
     # both orientations, and the eight symmetries of each D4 pair
     assert checked.count(1) > 1000 and checked.count(-1) > 1000
+    print(f"direction solve: {len(checked)} candidates, each carried every direction and vertex")
 
 
 def test_classify_and_congruent_build_no_throwaway_polygons(monkeypatch):

@@ -32,7 +32,7 @@ from delzant import (
     ZkEdge,
     edge_data,
 )
-from delzant.errors import GraphError, InvalidParamsError, NotUnimodularError
+from delzant.errors import DelzantError, GraphError, InvalidParamsError, NotUnimodularError
 
 TRIANGLE = ((0, 0), (1, 0), (0, 1))
 TRIANGLE_REPR = (
@@ -193,6 +193,11 @@ def test_vector_order_is_tuple_order(cls):
         pytest.param(LabeledGraph, (5,), GraphError, id="graph-scalar-nodes"),
         pytest.param(LabeledGraph, ((IsolatedPoint(0, (1, 1)),), (5,)), GraphError,
                      id="graph-non-edge"),
+        # a float, a tuple or a bool where a rational belongs
+        pytest.param(IsolatedPoint, (0.5, (1, 1)), DelzantError, id="point-float-moment"),
+        pytest.param(FatVertex, (0, (1,)), DelzantError, id="fat-vertex-tuple-area"),
+        pytest.param(RatVec2, (1.5, 0), DelzantError, id="vector-float-entry"),
+        pytest.param(HirzebruchParams, (True, 1, 0), DelzantError, id="params-bool-a"),
     ],
 )
 def test_malformed_shapes_raise_package_errors(cls, args, error):
