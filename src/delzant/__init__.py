@@ -61,7 +61,6 @@ from .polygon import (
     edge_data,
     is_delzant,
     make_polygon,
-    second_betti_from_edges,
 )
 
 __version__ = "0.1.0"
@@ -111,6 +110,5 @@ __all__ = [
     "parity_reduce",
     "primitive",
     "same_symplectic_class",
-    "second_betti_from_edges",
     "standard_trapezoid",
 ]

@@ -79,7 +79,7 @@ class IsolatedPoint(_Value):
         w = _as_tuple(weights, 2)
         if w is None or not all(is_int(x) and x != 0 for x in w):
             raise GraphError(f"weights must be a pair of nonzero integers, got {weights!r}")
-        self._store(moment, tuple(sorted(w)))
+        self.__dict__.update(moment=moment, weights=tuple(sorted(w)))
 
 
 class FatVertex(_Value):
@@ -93,7 +93,7 @@ class FatVertex(_Value):
             raise GraphError(f"fixed surface area must be positive, got {area}")
         if not is_int(genus) or genus < 0:
             raise GraphError(f"genus must be a nonnegative integer, got {genus!r}")
-        self._store(moment, area, genus)
+        self.__dict__.update(moment=moment, area=area, genus=genus)
 
 
 GraphNode = IsolatedPoint | FatVertex
@@ -123,7 +123,7 @@ class ZkEdge(_Value):
         ends = _as_tuple(endpoints, 2)
         if ends is None or not all(is_int(i) for i in ends):
             raise GraphError(f"endpoints must be a pair of node indices, got {endpoints!r}")
-        self._store(k, ends, (lo, hi))
+        self.__dict__.update(k=k, endpoints=ends, moment_interval=(lo, hi))
 
 
 class LabeledGraph(_Value):
@@ -149,7 +149,7 @@ class LabeledGraph(_Value):
                 raise GraphError(
                     f"edge interval {e.moment_interval} does not match endpoint moments"
                 )
-        self._store(nodes, edges)
+        self.__dict__.update(nodes=nodes, edges=edges)
 
     @property
     def min_moment(self) -> Fraction:
@@ -234,10 +234,12 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
         moment = Fraction(num[i], den[i])
         if speeds[i] == 0:
             node_of_vertex[(i + 1) % n] = len(nodes)
-            nodes.append(new(FatVertex)._store(moment, edges[i].lattice_length, 0))
+            nodes.append(new(FatVertex)._store(moment=moment, area=edges[i].lattice_length,
+                                               genus=0))
         else:
             s, t = speeds[i], -speeds[i - 1]
-            nodes.append(new(IsolatedPoint)._store(moment, (s, t) if s < t else (t, s)))
+            nodes.append(new(IsolatedPoint)._store(moment=moment,
+                                                   weights=(s, t) if s < t else (t, s)))
 
     zk = []
     for i, speed in enumerate(speeds):
@@ -248,10 +250,11 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
             zk.append((rank[lo], rank[hi], abs(speed), lo, hi, i))
     zk.sort()
     zk_edges = tuple(
-        new(ZkEdge)._store(k, (lo, hi), (nodes[lo].moment, nodes[hi].moment))
+        new(ZkEdge)._store(k=k, endpoints=(lo, hi),
+                           moment_interval=(nodes[lo].moment, nodes[hi].moment))
         for _, _, k, lo, hi, _ in zk
     )
-    return new(LabeledGraph)._store(tuple(nodes), zk_edges)
+    return new(LabeledGraph)._store(nodes=tuple(nodes), edges=zk_edges)
 
 
 def _node_label(node: GraphNode, base: Fraction):
@@ -294,17 +297,17 @@ def flip_graph(g: LabeledGraph) -> LabeledGraph:
     """
     new = object.__new__
     nodes = tuple(
-        new(IsolatedPoint)._store(-n.moment, (-n.weights[1], -n.weights[0]))
+        new(IsolatedPoint)._store(moment=-n.moment, weights=(-n.weights[1], -n.weights[0]))
         if isinstance(n, IsolatedPoint)
-        else new(FatVertex)._store(-n.moment, n.area, n.genus)
+        else new(FatVertex)._store(moment=-n.moment, area=n.area, genus=n.genus)
         for n in g.nodes
     )
     edges = tuple(
-        new(ZkEdge)._store(e.k, (e.endpoints[1], e.endpoints[0]),
-                           (-e.moment_interval[1], -e.moment_interval[0]))
+        new(ZkEdge)._store(k=e.k, endpoints=(e.endpoints[1], e.endpoints[0]),
+                           moment_interval=(-e.moment_interval[1], -e.moment_interval[0]))
         for e in g.edges
     )
-    return new(LabeledGraph)._store(nodes, edges)
+    return new(LabeledGraph)._store(nodes=nodes, edges=edges)
 
 
 def _edge_orders(g: LabeledGraph) -> list[dict[int, tuple[int, ...]]]:
@@ -423,7 +426,9 @@ class FixedPointData(_Value):
     _fields = ("components",)
 
     def __init__(self, components: tuple[FixedComponent, ...]):
-        components = tuple(components)
+        components = _as_tuple(components)
+        if components is None or not all(isinstance(c, FixedComponent) for c in components):
+            raise GraphError("fixed components must be IsolatedFixed or SurfaceFixed values")
         if sum(1 for c in components if c.index == 0) != 1:
             raise GraphError("exactly one fixed component must have index 0")
         self.__dict__.update(components=components)

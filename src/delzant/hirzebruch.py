@@ -32,7 +32,6 @@ cannot move one admissible area vector to another.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -243,11 +242,6 @@ def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[M
         q = IntersectionForm(form).matrix
     if not is_int(bound) or bound < 1:
         raise InvalidParamsError(f"bound must be a positive integer, got {bound!r}")
-    return _form_automorphisms(q, bound)
-
-
-@functools.lru_cache(maxsize=None)
-def _form_automorphisms(q: Mat2, bound: int) -> tuple[Mat2, ...]:
     # M = ((a, b), (c, d)).  Its first column solves Q(a, c) = q00, a quadratic
     # in c for each a.  Given that column and det M = sign, M^T Q M = Q reads
     # Q M = sign * adj(M)^T Q, four equations linear in (b, d), plus det M =

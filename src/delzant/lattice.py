@@ -103,8 +103,9 @@ class _Value:
     validates its arguments and then stores every field at once with
     ``self.__dict__.update``, which is cheaper than one
     ``object.__setattr__`` call per field; after that, assignment and
-    deletion raise ``AttributeError``.  ``_store`` is the unchecked
-    store that the graph types share with their builders.
+    deletion raise ``AttributeError``.  ``_store(**fields)`` is the same
+    keyword store, unchecked, for builders whose values are valid by
+    construction.
     """
 
     _fields: tuple[str, ...]
@@ -127,12 +128,11 @@ class _Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
-    def _store(self, *values):
-        """Store ``values`` as the fields, in ``_fields`` order, unchecked,
-        and return ``self``: a public ``__init__`` stores through it after
-        validating, and code whose values are valid by construction builds
-        with ``object.__new__(cls)._store(...)``."""
-        self.__dict__.update(zip(self._fields, values))
+    def _store(self, **fields):
+        """Store ``fields`` unchecked and return ``self``, so that code whose
+        values are valid by construction builds with
+        ``object.__new__(cls)._store(name=value, ...)``."""
+        self.__dict__.update(fields)
         return self
 
     def __setattr__(self, name, value):
@@ -252,10 +252,6 @@ def mat_inverse_unimodular(m: Mat2) -> Mat2:
     )
 
 
-def mat_inverse_transpose(m: Mat2) -> Mat2:
-    return mat_transpose(mat_inverse_unimodular(m))
-
-
 def solve_mat2(src: tuple[IntVec2, IntVec2], dst: tuple[IntVec2, IntVec2]) -> Mat2 | None:
     """Unique matrix S with S*src[0] = dst[0] and S*src[1] = dst[1].
 
@@ -306,14 +302,6 @@ class UnimodularAffine(_Value):
     @classmethod
     def identity(cls) -> "UnimodularAffine":
         return cls()
-
-    @classmethod
-    def translate(cls, dx, dy) -> "UnimodularAffine":
-        return cls(IDENTITY_MAT, RatVec2(dx, dy))
-
-    @property
-    def det(self) -> int:
-        return mat_det(self.linear)
 
     def apply(self, p: RatVec2) -> RatVec2:
         """R p + v, exactly.

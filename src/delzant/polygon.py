@@ -26,7 +26,9 @@ integer matrix of determinant +1 or -1 (``UnimodularAffine``).
 returns an explicit witness map or None.  A matching survives only when
 the two polygons' cyclic words of lattice lengths and direction
 determinants line up; the words then fix the map, so one integer solve on
-two edge directions and a vertex check decide it.  No polygon is built.
+two edge directions decides it: by the lemma in ``congruent``, which
+``check_direction_solve`` keeps as a test, the witness is exact with no
+vertex check.  No polygon is built.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from fractions import Fraction
 
 from .errors import (
     CollinearVerticesError,
+    FormatError,
     NonConvexError,
     RepeatedVertexError,
     TooFewVerticesError,
@@ -44,6 +47,7 @@ from .lattice import (
     IntVec2,
     RatVec2,
     UnimodularAffine,
+    _as_tuple,
     _Value,
     det2,
     mat_vec,
@@ -75,8 +79,8 @@ class Polygon(_Value):
     _fields = ("vertices", "input_reversed")
     _compared = ("vertices",)
 
-    def __init__(self, vertices: tuple[RatVec2, ...], input_reversed: bool = False):
-        pts = given = tuple(p if isinstance(p, RatVec2) else RatVec2(p[0], p[1]) for p in vertices)
+    def __init__(self, vertices: tuple[RatVec2, ...]):
+        pts = given = tuple(p if isinstance(p, RatVec2) else _as_point(p) for p in vertices)
         n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
@@ -96,11 +100,11 @@ class Polygon(_Value):
         turns = [a * d - b * c for (a, b, _), (c, d, _) in zip(edges, edges[1:] + edges[:1])]
         if 0 in turns:
             raise _repeat_error(given) or CollinearVerticesError((turns.index(0) + 1) % n)
-        if max(turns) < 0:
+        input_reversed = max(turns) < 0
+        if input_reversed:
             pts = pts[::-1]
             # reversed edge j runs backwards along input edge n - 2 - j
             edges = [(-dx, -dy, length) for dx, dy, length in edges[-2::-1] + edges[-1:]]
-            input_reversed = True
         elif min(turns) < 0:
             majority_ccw = sum(1 for turn in turns if turn > 0) * 2 >= n
             bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
@@ -125,6 +129,14 @@ class Polygon(_Value):
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _as_point(p) -> RatVec2:
+    """An (x, y) pair as a point, or ``FormatError`` for any other shape."""
+    pair = _as_tuple(p, 2)
+    if pair is None:
+        raise FormatError(f"bad point {p!r}")
+    return RatVec2(*pair)
 
 
 def _repeat_error(points: tuple[RatVec2, ...]) -> RepeatedVertexError | None:
@@ -181,11 +193,6 @@ def apply_map(poly: Polygon, transform: UnimodularAffine) -> Polygon:
     return Polygon(tuple(transform.apply(p) for p in poly.vertices))
 
 
-def second_betti_from_edges(poly: Polygon) -> int:
-    """Second Betti number of the toric 4-manifold: edge count minus 2."""
-    return len(poly) - 2
-
-
 def _invariant_word(poly: Polygon) -> list:
     """The cyclic word (E_0, C_0, E_1, C_1, ...) of the polygon's 2n
     congruence invariants.
@@ -228,9 +235,11 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
     det(d_i, x) = C_i and det(d_{i-1}, x) = E_i (the words' determinants),
     and the t_i follow the same recurrence scaled by the orientation.  So
     when the R with R d_0 = t_0 and R d_1 = t_1 is integral, det R is the
-    orientation and R d_i = t_i for every i.  The translation is fixed by
-    vertex 0, and the tail of edge i must land on the tail (+1) or head
-    (-1) of its matched edge, so a returned witness is always exact.
+    orientation and R d_i = t_i for every i.  The translation sends vertex
+    0 to the tail (+1) or head (-1) of its matched edge, and equal lattice
+    lengths carry every other vertex onto its target, so the witness is
+    exact with no vertex check.  ``check_direction_solve`` in
+    ``tests/test_polygon_oracle.py`` keeps this lemma as a test.
     """
     n = len(p1)
     if n != len(p2):
@@ -251,10 +260,8 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
                 continue
             t0, t1 = d2[offset], d2[(offset + orientation) % n]
             linear = solve_mat2((d1[0], d1[1]), (t0, t1) if orientation > 0 else (-t0, -t1))
-            if linear is None:
-                continue
-            targets = [p2.vertices[(offset + orientation * i + head) % n] for i in range(n)]
-            transform = UnimodularAffine(linear, targets[0] - mat_vec(linear, p1.vertices[0]))
-            if all(transform.apply(p) == q for p, q in zip(p1.vertices[1:], targets[1:])):
-                return transform
+            if linear is not None:
+                return UnimodularAffine(
+                    linear, p2.vertices[(offset + head) % n] - mat_vec(linear, p1.vertices[0])
+                )
     return None

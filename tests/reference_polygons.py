@@ -40,7 +40,7 @@ from delzant.errors import (
 from delzant.lattice import (
     RatVec2,
     mat_det,
-    mat_inverse_transpose,
+    mat_inverse_unimodular,
     mat_transpose,
     mat_vec,
     primitive,
@@ -79,7 +79,7 @@ def _candidate_transform(
         return None
     if any(mat_vec(s, normals1[i]) != normals2[target(i)] for i in range(2, n)):
         return None
-    linear = mat_inverse_transpose(s)
+    linear = mat_transpose(mat_inverse_unimodular(s))
     # tail of edge i maps to the tail (direct) or head (reversed) of its target
     image_of_v0 = p2.vertices[(offset + (1 if orientation < 0 else 0)) % n]
     translation = image_of_v0 - mat_vec(linear, p1.vertices[0])
@@ -161,7 +161,7 @@ def reference_classify_quadrilateral(
     image = apply_map(poly, upright)
     xmin = min(p.x for p in image.vertices)
     ymin = min(p.y for p in image.vertices)
-    witness = UnimodularAffine.translate(-xmin, -ymin).compose(upright)
+    witness = UnimodularAffine(translation=(-xmin, -ymin)).compose(upright)
     placed = apply_map(poly, witness)
 
     b = max(p.y for p in placed.vertices)

@@ -31,8 +31,15 @@ from delzant import (
     Violation,
     ZkEdge,
     edge_data,
+    make_polygon,
 )
-from delzant.errors import DelzantError, GraphError, InvalidParamsError, NotUnimodularError
+from delzant.errors import (
+    DelzantError,
+    FormatError,
+    GraphError,
+    InvalidParamsError,
+    NotUnimodularError,
+)
 
 TRIANGLE = ((0, 0), (1, 0), (0, 1))
 TRIANGLE_REPR = (
@@ -66,9 +73,9 @@ CASES = [
      ("tail_index", "direction", "inward_normal", "lattice_length"), {},
      dict(tail_index=1, direction=IntVec2(1, 0), inward_normal=IntVec2(0, 1),
           lattice_length=Fraction(5, 2))),
-    (Polygon, dict(vertices=TRIANGLE, input_reversed=False),
-     f"Polygon(vertices={TRIANGLE_REPR}, input_reversed=False)", ("vertices",),
-     dict(input_reversed=False), dict(vertices=((0, 0), (2, 0), (0, 1)))),
+    (Polygon, dict(vertices=TRIANGLE),
+     f"Polygon(vertices={TRIANGLE_REPR}, input_reversed=False)", ("vertices",), {},
+     dict(vertices=((0, 0), (2, 0), (0, 1)))),
     (DelzantReport,
      dict(is_delzant=True, normals=NORMALS, failures=(), input_reversed=False),
      "DelzantReport(is_delzant=True, normals=(IntVec2(x=0, y=1), IntVec2(x=-1, y=-1), "
@@ -198,6 +205,14 @@ def test_vector_order_is_tuple_order(cls):
         pytest.param(FatVertex, (0, (1,)), DelzantError, id="fat-vertex-tuple-area"),
         pytest.param(RatVec2, (1.5, 0), DelzantError, id="vector-float-entry"),
         pytest.param(HirzebruchParams, (True, 1, 0), DelzantError, id="params-bool-a"),
+        # a point that is not a pair, and fixed components of the wrong type
+        pytest.param(make_polygon, ([(0, 0, 9), (1, 0), (0, 1)],), FormatError,
+                     id="polygon-triple-point"),
+        pytest.param(Polygon, ([(0, 0), (1, 0), (1,)],), FormatError, id="polygon-short-point"),
+        pytest.param(make_polygon, ([(0, 0), (1, 0), 5],), FormatError,
+                     id="polygon-scalar-point"),
+        pytest.param(FixedPointData, ((1, 2),), GraphError, id="fixed-data-int-components"),
+        pytest.param(FixedPointData, (5,), GraphError, id="fixed-data-scalar"),
     ],
 )
 def test_malformed_shapes_raise_package_errors(cls, args, error):
