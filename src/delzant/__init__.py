@@ -65,50 +65,6 @@ from .polygon import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BLOWUP_FORM",
-    "BlowUp",
-    "CircleDirection",
-    "DelzantError",
-    "DelzantReport",
-    "EdgeData",
-    "ExtendabilityReport",
-    "FatVertex",
-    "FixedPointData",
-    "HYPERBOLIC_FORM",
-    "HirzebruchParams",
-    "IntersectionForm",
-    "IntVec2",
-    "IsolatedFixed",
-    "IsolatedPoint",
-    "LabeledGraph",
-    "ManifoldClass",
-    "Polygon",
-    "RatVec2",
-    "SphereProduct",
-    "SurfaceFixed",
-    "UnimodularAffine",
-    "Violation",
-    "ZkEdge",
-    "apply_map",
-    "betti_numbers",
-    "check_extendable",
-    "circle_graph",
-    "classify_quadrilateral",
-    "congruent",
-    "count_tori",
-    "det2",
-    "edge_data",
-    "enumerate_tori",
-    "fixed_point_data",
-    "flip_graph",
-    "form_automorphisms",
-    "graphs_isomorphic",
-    "is_delzant",
-    "make_polygon",
-    "manifold_of",
-    "parity_reduce",
-    "primitive",
-    "same_symplectic_class",
-    "standard_trapezoid",
-]
+# every public name the imports above bind, less the submodules they bind too
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and type(value) is not type(lattice))

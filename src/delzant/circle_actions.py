@@ -28,6 +28,11 @@ valid by construction and skip the checks.
 Two graphs are isomorphic when they match node-for-node and
 edge-for-edge after translating both moment scales to start at 0.
 
+Node moments stay ``Fraction``s, but the graph algorithms compare them
+as reduced (numerator, denominator) int pairs, by cross products.  A
+common denominator is never formed: on pairwise coprime denominators it
+grows with every node, and the cost with it, quadratically in all.
+
 The graph determines the Betti numbers of the 4-manifold through the
 indices of the fixed components (twice the number of negative weights
 at an isolated point; 0 or 2 for a minimal or maximal surface), and it
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     GraphError,
@@ -137,9 +143,8 @@ class LabeledGraph(_Value):
             raise GraphError("graph edges must be a sequence of ZkEdge values")
         if not nodes:
             raise GraphError("graph needs at least one node")
-        moments = [n.moment for n in nodes]
-        lo, hi = min(moments), max(moments)
-        if moments.count(lo) != 1 or (lo != hi and moments.count(hi) != 1):
+        pairs, lo, hi = _moment_pairs(nodes)
+        if pairs.count(lo) != 1 or (lo != hi and pairs.count(hi) != 1):
             raise GraphError("moment extrema must each be attained by exactly one node")
         for e in edges:
             i, j = e.endpoints
@@ -158,6 +163,19 @@ class LabeledGraph(_Value):
     @property
     def max_moment(self) -> Fraction:
         return max(n.moment for n in self.nodes)
+
+
+def _moment_pairs(nodes) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int]]:
+    """Each node's moment as its reduced (numerator, denominator) pair, and
+    the least and the greatest pair, found in one pass by cross products."""
+    pairs = [node.moment.as_integer_ratio() for node in nodes]
+    lo = hi = pairs[0]
+    for a, b in pairs:
+        if a * lo[1] < lo[0] * b:
+            lo = (a, b)
+        elif a * hi[1] > hi[0] * b:
+            hi = (a, b)
+    return pairs, lo, hi
 
 
 def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
@@ -257,30 +275,28 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     return new(LabeledGraph)._store(nodes=tuple(nodes), edges=zk_edges)
 
 
-def _node_label(node: GraphNode, base: Fraction):
-    if isinstance(node, IsolatedPoint):
-        return ("isolated", node.moment - base, node.weights)
-    return ("surface", node.moment - base, node.area, node.genus)
-
-
 def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = False) -> bool:
     """Node- and edge-preserving equality after translating moments to 0.
 
     With ``up_to_flip`` the comparison also tries g2 with the circle
     direction reversed (moments and weights negated).
 
-    The node labels are refined by the multiset of (k, neighbour label)
-    over Z_k edges until the partition is stable (1-dimensional
+    A node's label holds its moment minus the least moment as a reduced
+    int pair (one cross product and one gcd per node, with no common
+    denominator, which on pairwise coprime denominators grows with n).
+    The labels are refined by the multiset of (k, neighbour label) over
+    Z_k edges until the partition is stable (1-dimensional
     Weisfeiler-Leman colour refinement), and the graphs are rejected
     when the refined labels differ.  Otherwise a backtracking search
     maps nodes within their refined classes, checking every edge as soon
-    as both of its endpoints are mapped.  With n nodes and E edges each
-    refinement round costs O(n + E log E), there are at most n rounds,
-    and comparing the refined labels costs O(n log n).  The search branches only among nodes
-    that refinement leaves tied; graphs from ``circle_graph`` hold at
-    most two nodes per moment level, so few stay tied there, but on
-    general graphs with many tied nodes that refinement cannot tell
-    apart the search can still take exponential time.
+    as both of its endpoints are mapped.  With n nodes and E edges the
+    labels cost O(n), each refinement round O(n + E log E), there are at
+    most n rounds, and comparing the refined labels costs O(n log n).
+    The search branches only among nodes that refinement leaves tied;
+    graphs from ``circle_graph`` hold at most two nodes per moment
+    level, so few stay tied there, but on general graphs with many tied
+    nodes that refinement cannot tell apart the search can still take
+    exponential time.
     """
     if _isomorphic_translated(g1, g2):
         return True
@@ -310,15 +326,30 @@ def flip_graph(g: LabeledGraph) -> LabeledGraph:
     return new(LabeledGraph)._store(nodes=nodes, edges=edges)
 
 
-def _edge_orders(g: LabeledGraph) -> list[dict[int, tuple[int, ...]]]:
+def _edge_orders(g: LabeledGraph) -> list[dict[int, list[int]]]:
     """For every node, its neighbours mapped to the sorted orders k of the
-    Z_k edges joining them."""
-    joined: list[defaultdict] = [defaultdict(list) for _ in g.nodes]
-    for e in g.edges:
-        i, j = e.endpoints
-        joined[i][j].append(e.k)
-        joined[j][i].append(e.k)
-    return [{u: tuple(sorted(ks)) for u, ks in nbrs.items()} for nbrs in joined]
+    Z_k edges joining them; the edges are sorted by k once."""
+    joined: list[dict[int, list[int]]] = [{} for _ in g.nodes]
+    for k, i, j in sorted((e.k, *e.endpoints) for e in g.edges):
+        joined[i].setdefault(j, []).append(k)
+        joined[j].setdefault(i, []).append(k)
+    return joined
+
+
+def _node_labels(g: LabeledGraph) -> list[tuple]:
+    """Each node's label, with its moment translated to start at 0 as a
+    reduced int pair."""
+    pairs, (base, base_den), _ = _moment_pairs(g.nodes)
+    labels = []
+    for node, (a, b) in zip(g.nodes, pairs):
+        num, den = a * base_den - base * b, b * base_den
+        d = gcd(num, den)
+        moment = (num // d, den // d)
+        if isinstance(node, IsolatedPoint):
+            labels.append(("isolated", moment, node.weights))
+        else:
+            labels.append(("surface", moment, node.area, node.genus))
+    return labels
 
 
 def _refined_colours(labels, orders) -> list[list[int]]:
@@ -350,11 +381,9 @@ def _refined_colours(labels, orders) -> list[list[int]]:
 def _isomorphic_translated(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
-    base1, base2 = g1.min_moment, g2.min_moment
-    labels1 = [_node_label(n, base1) for n in g1.nodes]
-    labels2 = [_node_label(n, base2) for n in g2.nodes]
     orders1, orders2 = _edge_orders(g1), _edge_orders(g2)
-    colours1, colours2 = _refined_colours((labels1, labels2), (orders1, orders2))
+    colours1, colours2 = _refined_colours((_node_labels(g1), _node_labels(g2)),
+                                          (orders1, orders2))
     if sorted(colours1) != sorted(colours2):
         return False
 
@@ -420,6 +449,8 @@ class SurfaceFixed(_Value):
 
 
 FixedComponent = IsolatedFixed | SurfaceFixed
+# the isolated fixed points with 0, 1 and 2 negative weights; values are immutable
+_ISOLATED_FIXED = tuple(IsolatedFixed(index) for index in (0, 2, 4))
 
 
 class FixedPointData(_Value):
@@ -441,20 +472,20 @@ def fixed_point_data(g: LabeledGraph) -> FixedPointData:
     get 0 at the minimum and 2 at the maximum.  A surface at any other
     level cannot occur for a moment-map projection and is an error.
     """
-    lo, hi = g.min_moment, g.max_moment
+    pairs, lo, hi = _moment_pairs(g.nodes)
     components: list[FixedComponent] = []
-    for node in g.nodes:
+    for node, pair in zip(g.nodes, pairs):
         if isinstance(node, FatVertex):
-            if node.moment == lo:
+            if pair == lo:
                 components.append(SurfaceFixed(0, node.genus))
-            elif node.moment == hi:
+            elif pair == hi:
                 components.append(SurfaceFixed(2, node.genus))
             else:
                 raise InteriorFixedSurfaceError(
                     f"interior fixed surface impossible (moment {node.moment})"
                 )
         else:
-            components.append(IsolatedFixed(2 * sum(1 for w in node.weights if w < 0)))
+            components.append(_ISOLATED_FIXED[(node.weights[0] < 0) + (node.weights[1] < 0)])
     return FixedPointData(tuple(components))
 
 

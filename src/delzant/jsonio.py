@@ -26,7 +26,9 @@ Schemas:
                                   "genus": 0}]}
 
 Decoding a graph builds it through the public constructors of the graph
-types, which check every value.
+types, which check every value.  Each moment text is parsed once per
+graph, so an edge interval holds its endpoint nodes' own ``Fraction``s,
+which the graph's interval check matches by identity.
 
 DOT output is deterministic: nodes appear in the graph's stored order
 (``circle_graph`` orders them by moment, ties by vertex index;
@@ -180,10 +182,11 @@ def node_to_json(node: GraphNode) -> dict:
     }
 
 
-def node_from_json(data) -> GraphNode:
+def node_from_json(data, rational=rational_from_json) -> GraphNode:
+    """A graph node; ``rational`` parses each rational text."""
     if not (isinstance(data, dict) and "type" in data and "moment" in data):
         raise FormatError("bad graph node")
-    moment = rational_from_json(data["moment"])
+    moment = rational(data["moment"])
     if data["type"] == "isolated":
         w = data.get("weights")
         if not (isinstance(w, list) and len(w) == 2):
@@ -194,7 +197,7 @@ def node_from_json(data) -> GraphNode:
             raise FormatError("surface node needs 'area'")
         return FatVertex(
             moment,
-            rational_from_json(data["area"]),
+            rational(data["area"]),
             _int_from_json(data.get("genus", 0), "'genus'"),
         )
     raise FormatError(f"unknown node type {data['type']!r}")
@@ -225,7 +228,15 @@ def _list_from_json(value, what: str, length: int | None = None) -> list:
 def graph_from_json(data) -> LabeledGraph:
     if not (isinstance(data, dict) and "nodes" in data):
         raise FormatError("graph JSON needs 'nodes'")
-    nodes = tuple(node_from_json(n) for n in _list_from_json(data["nodes"], "'nodes'"))
+    parsed: dict[str, Fraction] = {}  # each text is parsed once
+
+    def rational(value) -> Fraction:
+        q = parsed.get(value) if isinstance(value, str) else None
+        if q is None:
+            q = parsed[value] = rational_from_json(value)
+        return q
+
+    nodes = tuple(node_from_json(n, rational) for n in _list_from_json(data["nodes"], "'nodes'"))
     edges = []
     for e in _list_from_json(data.get("edges", []), "'edges'"):
         if not (isinstance(e, dict) and set(e) >= {"k", "endpoints", "interval"}):
@@ -235,8 +246,7 @@ def graph_from_json(data) -> LabeledGraph:
                 _int_from_json(e["k"], "'k'"),
                 tuple(_int_from_json(i, "endpoint index")
                       for i in _list_from_json(e["endpoints"], "'endpoints'", 2)),
-                tuple(rational_from_json(t)
-                      for t in _list_from_json(e["interval"], "'interval'", 2)),
+                tuple(rational(t) for t in _list_from_json(e["interval"], "'interval'", 2)),
             )
         )
     return LabeledGraph(nodes, tuple(edges))

@@ -80,7 +80,10 @@ class Polygon(_Value):
     _compared = ("vertices",)
 
     def __init__(self, vertices: tuple[RatVec2, ...]):
-        pts = given = tuple(p if isinstance(p, RatVec2) else _as_point(p) for p in vertices)
+        items = _as_tuple(vertices)
+        if items is None:
+            raise FormatError(f"bad vertices {vertices!r}")
+        pts = given = tuple(p if isinstance(p, RatVec2) else _as_point(p) for p in items)
         n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
@@ -153,7 +156,7 @@ def make_polygon(points) -> Polygon:
 
     Coordinates may be ints, Fractions, or rational strings like "5/2".
     """
-    return Polygon(tuple(points))
+    return Polygon(points)
 
 
 def edge_data(poly: Polygon) -> tuple[EdgeData, ...]:

@@ -28,6 +28,7 @@ from delzant import (
     make_polygon,
     standard_trapezoid,
 )
+from delzant import jsonio
 from delzant.errors import (
     GraphError,
     InteriorFixedSurfaceError,
@@ -407,10 +408,33 @@ def _relabelled(rng: Random, g: LabeledGraph) -> LabeledGraph:
     return flip_graph(h) if rng.random() < 0.3 else h
 
 
+def _mixed_denominator_cases(rng: Random, g: LabeledGraph):
+    """``g`` translated by +-k/p, for a prime p dividing no moment
+    denominator of ``g``; the flip of that translate; and, when the
+    translate has an edge end with a twin (an equal node), the translate
+    with that end moved to the twin: its node labels match, its edges may
+    not."""
+    p = rng.choice([p for p in (5, 7, 11, 13) if all(n.moment.denominator % p for n in g.nodes)])
+    h = _permuted(rng, g, Fraction(rng.choice((-1, 1)) * rng.randrange(1, p), p))
+    yield "translate", h
+    yield "flip", flip_graph(h)
+    for idx, e in enumerate(h.edges):
+        for end, i in enumerate(e.endpoints):
+            twins = [j for j, node in enumerate(h.nodes) if node == h.nodes[i] and j != i]
+            if twins:
+                ends = list(e.endpoints)
+                ends[end] = rng.choice(twins)
+                edges = list(h.edges)
+                edges[idx] = ZkEdge(e.k, tuple(ends), e.moment_interval)
+                yield "twin", LabeledGraph(h.nodes, tuple(edges))
+                return
+
+
 def test_agrees_with_reference_on_random_graphs():
-    rng = Random(36)
+    rng, mix = Random(36), Random(37)
     seen = {"violations": 0, "isomorphic": 0, "flipped": 0, "different": 0}
-    for _ in range(10_000):
+    mixed = {"translate": 0, "flip": 0, "twin": 0, "twin-different": 0}
+    for step in range(10_000):
         g = _random_graph(rng)
         report = check_extendable(g)
         assert repr(report) == repr(reference_check_extendable(g))
@@ -421,8 +445,43 @@ def test_agrees_with_reference_on_random_graphs():
         assert plain == reference_graphs_isomorphic(g, h)
         assert flipped == reference_graphs_isomorphic(g, h, up_to_flip=True)
         seen["isomorphic" if plain else "flipped" if flipped else "different"] += 1
+        # moments whose denominators share no prime with g's, on every other graph
+        for kind, h in _mixed_denominator_cases(mix, g) if step % 2 == 0 else ():
+            plain = graphs_isomorphic(g, h)
+            assert plain == reference_graphs_isomorphic(g, h)
+            assert graphs_isomorphic(g, h, True) == reference_graphs_isomorphic(g, h, True)
+            mixed[kind] += 1
+            mixed["twin-different"] += kind == "twin" and not plain
     # the corpus exercises every outcome, not just the easy ones
     assert min(seen.values()) >= 500, seen
+    assert min(mixed.values()) >= 500, mixed
+
+
+def test_graph_algorithms_make_no_fraction_order_comparison(monkeypatch):
+    """Moments are compared as reduced int pairs: building, comparing and
+    indexing a graph calls no ``Fraction`` order operator or subtraction,
+    and decoding one calls only the value checks of ``ZkEdge`` (lo < hi)
+    and ``FatVertex`` (area <= 0)."""
+    poly = cut_corners(standard_trapezoid(HirzebruchParams(3, 1, 1)), Random(5), 252)
+    g = circle_graph(poly, IntVec2(1, 0))
+    assert len(poly) == 256 and len(g.edges) > 200
+    text = jsonio.graph_to_json(g)
+    calls = []
+    for name in ("__lt__", "__gt__", "__le__", "__ge__", "__sub__"):
+        def counted(a, b, op=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+
+    assert LabeledGraph(g.nodes, g.edges) == g
+    assert calls == []
+    assert graphs_isomorphic(g, g, True)
+    assert calls == []
+    assert fixed_point_data(g).components[0] == SurfaceFixed(0, 0)
+    assert calls == []
+    assert jsonio.graph_from_json(text) == g
+    surfaces = sum(isinstance(n, FatVertex) for n in g.nodes)
+    assert sorted(calls) == ["__le__"] * surfaces + ["__lt__"] * len(g.edges)
 
 
 def _mapped(rng: Random, poly, directions) -> tuple:

@@ -240,13 +240,21 @@ def test_closed_stdout_exits_quietly(argv):
     assert proc.stderr == b""
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """The value types are plain classes: building them at import time needs
-    neither ``dataclasses`` nor the ``inspect`` module it pulls in, which
-    every CLI call would otherwise pay for."""
-    probe = "import delzant.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+# the standard modules that the package's own import statements name
+CLI_STDLIB = ("__future__", "argparse", "collections", "contextlib", "fractions", "functools",
+              "json", "math", "operator", "os", "re", "sys")
+
+
+def test_cli_import_loads_only_the_modules_the_package_names():
+    """Every CLI call pays for every module that ``import delzant.cli``
+    loads, so past the standard modules the package names, it may load
+    only its own: no ``dataclasses``, no ``inspect``, no ``typing``."""
+    probe = (f"import {', '.join(CLI_STDLIB)}; before = set(sys.modules); import delzant.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=child_env(), timeout=60, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    added = json.loads(proc.stdout)
+    assert "delzant.cli" in added
+    assert [name for name in added if not name.startswith("delzant")] == []

@@ -26,7 +26,7 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant import jsonio
-from delzant.errors import FormatError
+from delzant.errors import FormatError, GraphError
 from delzant.lattice import as_rational
 
 
@@ -92,6 +92,18 @@ def test_graph_round_trip():
     ):
         data = json.loads(json.dumps(jsonio.graph_to_json(g)))
         assert jsonio.graph_from_json(data) == g
+
+
+def test_decoded_graph_compares_moments_by_value_not_by_text():
+    # each text is parsed once per graph, and "1/2" and "2/4" are one moment
+    data = {"nodes": [{"type": "isolated", "moment": "1/2", "weights": [1, 1]},
+                      {"type": "isolated", "moment": "2/4", "weights": [1, 2]},
+                      {"type": "isolated", "moment": "3", "weights": [-1, -1]}]}
+    with pytest.raises(GraphError, match="moment extrema must each be attained"):
+        jsonio.graph_from_json(data)
+    data["nodes"][1]["moment"] = "3/4"
+    g = jsonio.graph_from_json(data)
+    assert [n.moment for n in g.nodes] == [Fraction(1, 2), Fraction(3, 4), Fraction(3)]
 
 
 def test_fixed_data_round_trip():

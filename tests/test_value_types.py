@@ -211,6 +211,9 @@ def test_vector_order_is_tuple_order(cls):
         pytest.param(Polygon, ([(0, 0), (1, 0), (1,)],), FormatError, id="polygon-short-point"),
         pytest.param(make_polygon, ([(0, 0), (1, 0), 5],), FormatError,
                      id="polygon-scalar-point"),
+        pytest.param(Polygon, (5,), FormatError, id="polygon-scalar-vertices"),
+        pytest.param(Polygon, (None,), FormatError, id="polygon-none-vertices"),
+        pytest.param(make_polygon, (5,), FormatError, id="make-polygon-scalar"),
         pytest.param(FixedPointData, ((1, 2),), GraphError, id="fixed-data-int-components"),
         pytest.param(FixedPointData, (5,), GraphError, id="fixed-data-scalar"),
     ],
