@@ -279,7 +279,11 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
     """Node- and edge-preserving equality after translating moments to 0.
 
     With ``up_to_flip`` the comparison also tries g2 with the circle
-    direction reversed (moments and weights negated).
+    direction reversed, without building ``flip_graph(g2)``.  g1's labels
+    and both graphs' edge orders serve both tries: a flipped node's label
+    holds the greatest moment minus its own and the weights (a, b) as
+    (-b, -a), and flipping swaps the ends of every edge, which leaves the
+    symmetric edge orders unchanged.
 
     A node's label holds its moment minus the least moment as a reduced
     int pair (one cross product and one gcd per node, with no common
@@ -298,9 +302,12 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
     nodes that refinement cannot tell apart the search can still take
     exponential time.
     """
-    if _isomorphic_translated(g1, g2):
+    if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
+        return False
+    labels1, orders1, orders2 = _node_labels(g1), _edge_orders(g1), _edge_orders(g2)
+    if _isomorphic_labelled(labels1, orders1, _node_labels(g2), orders2):
         return True
-    return up_to_flip and _isomorphic_translated(g1, flip_graph(g2))
+    return up_to_flip and _isomorphic_labelled(labels1, orders1, _node_labels(g2, True), orders2)
 
 
 def flip_graph(g: LabeledGraph) -> LabeledGraph:
@@ -336,17 +343,19 @@ def _edge_orders(g: LabeledGraph) -> list[dict[int, list[int]]]:
     return joined
 
 
-def _node_labels(g: LabeledGraph) -> list[tuple]:
+def _node_labels(g: LabeledGraph, flipped: bool = False) -> list[tuple]:
     """Each node's label, with its moment translated to start at 0 as a
-    reduced int pair."""
-    pairs, (base, base_den), _ = _moment_pairs(g.nodes)
+    reduced int pair; ``flipped`` labels the graph of ``flip_graph(g)``."""
+    pairs, lo, hi = _moment_pairs(g.nodes)
+    (base, base_den), sign = (hi, -1) if flipped else (lo, 1)
     labels = []
     for node, (a, b) in zip(g.nodes, pairs):
-        num, den = a * base_den - base * b, b * base_den
+        num, den = sign * (a * base_den - base * b), b * base_den
         d = gcd(num, den)
         moment = (num // d, den // d)
         if isinstance(node, IsolatedPoint):
-            labels.append(("isolated", moment, node.weights))
+            w = node.weights
+            labels.append(("isolated", moment, (-w[1], -w[0]) if flipped else w))
         else:
             labels.append(("surface", moment, node.area, node.genus))
     return labels
@@ -378,12 +387,10 @@ def _refined_colours(labels, orders) -> list[list[int]]:
             return colours
 
 
-def _isomorphic_translated(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
-        return False
-    orders1, orders2 = _edge_orders(g1), _edge_orders(g2)
-    colours1, colours2 = _refined_colours((_node_labels(g1), _node_labels(g2)),
-                                          (orders1, orders2))
+def _isomorphic_labelled(labels1, orders1, labels2, orders2) -> bool:
+    """Whether two graphs of equally many nodes and edges, given as their
+    node labels and edge orders, match node-for-node and edge-for-edge."""
+    colours1, colours2 = _refined_colours((labels1, labels2), (orders1, orders2))
     if sorted(colours1) != sorted(colours2):
         return False
 
@@ -392,7 +399,7 @@ def _isomorphic_translated(g1: LabeledGraph, g2: LabeledGraph) -> bool:
         candidates[c].append(j)
     # forced (singleton) classes first, so the branching nodes meet the
     # most already-mapped neighbours
-    order = sorted(range(len(g1.nodes)), key=lambda i: (len(candidates[colours1[i]]), i))
+    order = sorted(range(len(labels1)), key=lambda i: (len(candidates[colours1[i]]), i))
     image: list[int | None] = [None] * len(order)
     taken = [False] * len(order)
 

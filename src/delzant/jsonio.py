@@ -182,7 +182,7 @@ def node_to_json(node: GraphNode) -> dict:
     }
 
 
-def node_from_json(data, rational=rational_from_json) -> GraphNode:
+def node_from_json(data, rational) -> GraphNode:
     """A graph node; ``rational`` parses each rational text."""
     if not (isinstance(data, dict) and "type" in data and "moment" in data):
         raise FormatError("bad graph node")

