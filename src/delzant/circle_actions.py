@@ -156,14 +156,6 @@ class LabeledGraph(_Value):
                 )
         self.__dict__.update(nodes=nodes, edges=edges)
 
-    @property
-    def min_moment(self) -> Fraction:
-        return min(n.moment for n in self.nodes)
-
-    @property
-    def max_moment(self) -> Fraction:
-        return max(n.moment for n in self.nodes)
-
 
 def _moment_pairs(nodes) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int]]:
     """Each node's moment as its reduced (numerator, denominator) pair, and

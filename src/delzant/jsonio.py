@@ -25,6 +25,15 @@ Schemas:
                                  {"type": "surface", "index": 0,
                                   "genus": 0}]}
 
+Decoding raises ``FormatError`` for a payload of the wrong shape, with
+one of two messages:
+
+  "<what> must be an object with 'key', ..."   (a non-object, or a missing key)
+  "<what> must be a list" or "... a list of <n> entries"
+
+The affine map's linear part, which must be "a 2x2 integer matrix", is
+the one exception.
+
 Decoding a graph builds it through the public constructors of the graph
 types, which check every value.  Each moment text is parsed once per
 graph, so an edge interval holds its endpoint nodes' own ``Fraction``s,
@@ -83,13 +92,33 @@ def _int_from_json(value, what: str) -> int:
     return value
 
 
+def _object_from_json(data, what: str, *keys: str) -> dict:
+    # a plain loop, with no generator or set: this runs once per graph node and edge
+    if isinstance(data, dict):
+        for key in keys:
+            if key not in data:
+                break
+        else:
+            return data
+    raise FormatError(f"{what} must be an object with " + ", ".join(map(repr, keys)))
+
+
+def _list_from_json(value, what: str, length: int | None = None) -> list:
+    if not (isinstance(value, list) and (length is None or len(value) == length)):
+        raise FormatError(
+            f"{what} must be a list" + ("" if length is None else f" of {length} entries")
+        )
+    return value
+
+
 def point_to_json(p: RatVec2) -> list[str]:
     return [rational_to_json(p.x), rational_to_json(p.y)]
 
 
 def point_from_json(value) -> RatVec2:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise FormatError(f"bad point {value!r}")
+    # _list_from_json's check, inline: this runs once per polygon vertex
+    if not (isinstance(value, list) and len(value) == 2):
+        raise FormatError("point must be a list of 2 entries")
     return RatVec2(rational_from_json(value[0]), rational_from_json(value[1]))
 
 
@@ -98,11 +127,9 @@ def polygon_to_json(poly: Polygon) -> dict:
 
 
 def polygon_from_json(data) -> Polygon:
-    if not (isinstance(data, dict) and "vertices" in data):
-        raise FormatError("polygon JSON needs 'vertices'")
-    if not isinstance(data["vertices"], list):
-        raise FormatError("'vertices' must be a list")
-    return make_polygon([point_from_json(v) for v in data["vertices"]])
+    vertices = _list_from_json(_object_from_json(data, "polygon", "vertices")["vertices"],
+                               "'vertices'")
+    return make_polygon([point_from_json(v) for v in vertices])
 
 
 def affine_to_json(t: UnimodularAffine) -> dict:
@@ -113,9 +140,7 @@ def affine_to_json(t: UnimodularAffine) -> dict:
 
 
 def affine_from_json(data) -> UnimodularAffine:
-    if not (isinstance(data, dict) and "linear" in data and "translation" in data):
-        raise FormatError("affine map JSON needs 'linear' and 'translation'")
-    lin = data["linear"]
+    lin = _object_from_json(data, "affine map", "linear", "translation")["linear"]
     if not (isinstance(lin, list) and len(lin) == 2
             and all(isinstance(r, list) and len(r) == 2 for r in lin)):
         raise FormatError("'linear' must be a 2x2 integer matrix")
@@ -128,8 +153,7 @@ def params_to_json(p: HirzebruchParams) -> dict:
 
 
 def params_from_json(data) -> HirzebruchParams:
-    if not (isinstance(data, dict) and set(data) >= {"a", "b", "m"}):
-        raise FormatError("parameter JSON needs 'a', 'b', 'm'")
+    _object_from_json(data, "parameters", "a", "b", "m")
     return HirzebruchParams(
         rational_from_json(data["a"]),
         rational_from_json(data["b"]),
@@ -144,16 +168,12 @@ def manifold_to_json(m: ManifoldClass) -> dict:
 
 
 def manifold_from_json(data) -> ManifoldClass:
-    if not (isinstance(data, dict) and "type" in data):
-        raise FormatError("manifold JSON needs 'type'")
-    kind = data["type"]
+    kind = _object_from_json(data, "manifold", "type")["type"]
     if kind == "s2xs2":
-        if not set(data) >= {"a", "b"}:
-            raise FormatError("s2xs2 manifold JSON needs 'a' and 'b'")
+        _object_from_json(data, "s2xs2 manifold", "a", "b")
         return SphereProduct(rational_from_json(data["a"]), rational_from_json(data["b"]))
     if kind == "blowup_cp2":
-        if not set(data) >= {"l", "e"}:
-            raise FormatError("blowup_cp2 manifold JSON needs 'l' and 'e'")
+        _object_from_json(data, "blowup_cp2 manifold", "l", "e")
         return BlowUp(rational_from_json(data["l"]), rational_from_json(data["e"]))
     raise FormatError(f"unknown manifold type {kind!r}")
 
@@ -182,27 +202,6 @@ def node_to_json(node: GraphNode) -> dict:
     }
 
 
-def node_from_json(data, rational) -> GraphNode:
-    """A graph node; ``rational`` parses each rational text."""
-    if not (isinstance(data, dict) and "type" in data and "moment" in data):
-        raise FormatError("bad graph node")
-    moment = rational(data["moment"])
-    if data["type"] == "isolated":
-        w = data.get("weights")
-        if not (isinstance(w, list) and len(w) == 2):
-            raise FormatError("isolated node needs two weights")
-        return IsolatedPoint(moment, tuple(_int_from_json(x, "weight") for x in w))
-    if data["type"] == "surface":
-        if "area" not in data:
-            raise FormatError("surface node needs 'area'")
-        return FatVertex(
-            moment,
-            rational(data["area"]),
-            _int_from_json(data.get("genus", 0), "'genus'"),
-        )
-    raise FormatError(f"unknown node type {data['type']!r}")
-
-
 def graph_to_json(g: LabeledGraph) -> dict:
     return {
         "nodes": [node_to_json(n) for n in g.nodes],
@@ -217,17 +216,8 @@ def graph_to_json(g: LabeledGraph) -> dict:
     }
 
 
-def _list_from_json(value, what: str, length: int | None = None) -> list:
-    if not (isinstance(value, list) and (length is None or len(value) == length)):
-        raise FormatError(
-            f"{what} must be a list" + ("" if length is None else f" of {length} entries")
-        )
-    return value
-
-
 def graph_from_json(data) -> LabeledGraph:
-    if not (isinstance(data, dict) and "nodes" in data):
-        raise FormatError("graph JSON needs 'nodes'")
+    _object_from_json(data, "graph", "nodes")
     parsed: dict[str, Fraction] = {}  # each text is parsed once
 
     def rational(value) -> Fraction:
@@ -236,11 +226,21 @@ def graph_from_json(data) -> LabeledGraph:
             q = parsed[value] = rational_from_json(value)
         return q
 
-    nodes = tuple(node_from_json(n, rational) for n in _list_from_json(data["nodes"], "'nodes'"))
+    nodes: list[GraphNode] = []
+    for n in _list_from_json(data["nodes"], "'nodes'"):
+        kind = _object_from_json(n, "graph node", "type", "moment")["type"]
+        moment = rational(n["moment"])
+        if kind == "isolated":
+            w = _list_from_json(n.get("weights"), "'weights'", 2)
+            nodes.append(IsolatedPoint(moment, tuple(_int_from_json(x, "weight") for x in w)))
+        elif kind == "surface":
+            area = rational(_object_from_json(n, "surface node", "area")["area"])
+            nodes.append(FatVertex(moment, area, _int_from_json(n.get("genus", 0), "'genus'")))
+        else:
+            raise FormatError(f"unknown node type {kind!r}")
     edges = []
     for e in _list_from_json(data.get("edges", []), "'edges'"):
-        if not (isinstance(e, dict) and set(e) >= {"k", "endpoints", "interval"}):
-            raise FormatError("graph edge JSON needs 'k', 'endpoints', 'interval'")
+        _object_from_json(e, "graph edge", "k", "endpoints", "interval")
         edges.append(
             ZkEdge(
                 _int_from_json(e["k"], "'k'"),
@@ -249,7 +249,7 @@ def graph_from_json(data) -> LabeledGraph:
                 tuple(rational(t) for t in _list_from_json(e["interval"], "'interval'", 2)),
             )
         )
-    return LabeledGraph(nodes, tuple(edges))
+    return LabeledGraph(tuple(nodes), tuple(edges))
 
 
 def fixed_data_to_json(data: FixedPointData) -> dict:
@@ -263,12 +263,10 @@ def fixed_data_to_json(data: FixedPointData) -> dict:
 
 
 def fixed_data_from_json(data) -> FixedPointData:
-    if not (isinstance(data, dict) and "components" in data):
-        raise FormatError("fixed data JSON needs 'components'")
+    _object_from_json(data, "fixed data", "components")
     components: list[FixedComponent] = []
     for c in _list_from_json(data["components"], "'components'"):
-        if not (isinstance(c, dict) and "type" in c and "index" in c):
-            raise FormatError("bad fixed component")
+        _object_from_json(c, "fixed component", "type", "index")
         index = _int_from_json(c["index"], "'index'")
         if c["type"] == "isolated":
             components.append(IsolatedFixed(index))

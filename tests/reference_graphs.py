@@ -103,7 +103,8 @@ def reference_check_extendable(g: LabeledGraph) -> ExtendabilityReport:
                 )
             )
 
-    lo, hi = g.min_moment, g.max_moment
+    lo = min(n.moment for n in g.nodes)
+    hi = max(n.moment for n in g.nodes)
     critical = sorted(
         {n.moment for n in g.nodes}
         | {m for e in g.edges for m in e.moment_interval}
@@ -133,8 +134,10 @@ def _node_label(node, base):
 def reference_isomorphic_translated(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
-    labels1 = [_node_label(n, g1.min_moment) for n in g1.nodes]
-    labels2 = [_node_label(n, g2.min_moment) for n in g2.nodes]
+    base1 = min(n.moment for n in g1.nodes)
+    base2 = min(n.moment for n in g2.nodes)
+    labels1 = [_node_label(n, base1) for n in g1.nodes]
+    labels2 = [_node_label(n, base2) for n in g2.nodes]
     if sorted(labels1) != sorted(labels2):
         return False
 

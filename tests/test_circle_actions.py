@@ -1,5 +1,6 @@
 """Labeled graphs, Betti numbers, and the toric-extension criterion."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -278,13 +279,25 @@ def test_extendable_fails_on_three_shared_spheres():
     assert not report.extendable
     assert [(v.kind, v.moment) for v in report.violations] == [("level", Fraction(1, 2))]
     assert "3 non-free orbits" in report.violations[0].detail
+    data = jsonio.extendability_to_json(report)
+    assert json.loads(json.dumps(data)) == data == {
+        "extendable": False,
+        "violations": [{"kind": "level", "moment": "1/2",
+                        "detail": "3 non-free orbits at level 1/2"}],
+    }
 
 
 def test_extendable_fails_on_positive_genus():
-    g = LabeledGraph((FatVertex(0, 1, 1), FatVertex(1, 1, 0)))
+    g = LabeledGraph((FatVertex(Fraction(-1, 3), 1, 1), FatVertex(1, 1, 0)))
     report = check_extendable(g)
     assert not report.extendable
     assert report.violations[0].kind == "genus"
+    data = jsonio.extendability_to_json(report)
+    assert json.loads(json.dumps(data)) == data == {
+        "extendable": False,
+        "violations": [{"kind": "genus", "moment": "-1/3",
+                        "detail": "fixed surface of genus 1 at moment -1/3"}],
+    }
 
 
 def test_graph_invariants_enforced():
@@ -301,6 +314,17 @@ def test_graph_invariants_enforced():
         IsolatedPoint(0, (0, 1))
     with pytest.raises(GraphError):
         FatVertex(0, 0, 0)
+    with pytest.raises(GraphError, match="increasing"):
+        ZkEdge(2, (0, 1), (Fraction(1), Fraction(0)))
+    with pytest.raises(GraphError, match="at least one node"):
+        LabeledGraph(())
+    with pytest.raises(GraphError, match="out of range"):
+        LabeledGraph(
+            (IsolatedPoint(0, (1, 1)), IsolatedPoint(1, (-1, -1))),
+            (ZkEdge(2, (0, 2), (Fraction(0), Fraction(1))),),
+        )
+    with pytest.raises(GraphError, match="exactly one fixed component"):
+        FixedPointData((IsolatedFixed(0), SurfaceFixed(0), IsolatedFixed(4)))
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,8 @@ CASES = {
     "betti-deep": (["betti", "--fixed-data", DEEP], "bad_format"),
     # every turn is a left turn, but the boundary winds twice
     "verify-pentagram": (["verify", "@pentagram"], "non_convex"),
+    # betti reads a polygon with --xi, or --fixed-data
+    "betti-no-input": (["betti"], "domain_error"),
 }
 
 

@@ -1,7 +1,9 @@
 """The package's two lists of public names, its imports and ``__all__``,
-stay in step, and its modules hold no unused import or private name."""
+stay in step, its modules hold no unused import or private name, and the
+names the README lists as removed stay gone."""
 
 import ast
+import importlib
 import pathlib
 import types
 
@@ -67,3 +69,44 @@ def test_modules_use_every_import_and_every_private_name():
                              and name not in referenced]
     assert unused == []
     assert unreferenced == []
+
+
+# every dotted name in the README's "Removed names" section, as written there
+REMOVED_NAMES = [
+    "delzant.Rational",
+    "delzant.parse_rational",
+    "delzant.lattice.format_rational",
+    "delzant.second_betti_from_edges",
+    "delzant.lattice.mat_inverse_transpose",
+    "UnimodularAffine.translate",
+    "UnimodularAffine.det",
+    "delzant.jsonio.node_from_json",
+    "LabeledGraph.min_moment",
+    "LabeledGraph.max_moment",
+]
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted``, read inside the package when it does not start
+    with ``delzant.``, names an attribute or a module."""
+    parts = dotted.split(".")
+    if parts[0] != "delzant":
+        parts.insert(0, "delzant")
+    obj = delzant
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_removed_names_stay_removed():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("**Removed names.**", 1)[1].split("\n\n```", 1)[0]
+    assert [name for name in REMOVED_NAMES if f"`{name}" not in section] == []
+    assert [name for name in REMOVED_NAMES if _resolves(name)] == []
+    assert _resolves("jsonio.rational_from_json") and _resolves("UnimodularAffine.apply")

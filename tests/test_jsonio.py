@@ -26,7 +26,7 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant import jsonio
-from delzant.errors import FormatError, GraphError
+from delzant.errors import DelzantError, FormatError, GraphError
 from delzant.lattice import as_rational
 
 
@@ -158,6 +158,71 @@ def test_xi_parsing():
 def test_malformed_graph_json_is_format_error(data):
     with pytest.raises(FormatError):
         jsonio.graph_from_json(data)
+
+
+OPTIONAL_KEYS = {"edges", "genus"}  # decoded with a default when absent
+# lists of any length have the right shape; an empty one is a value error
+VARIABLE_LISTS = {"vertices", "nodes", "edges", "components"}
+
+
+def _malformed(value, path="$", variable=False):
+    """(description, payload) for each shape error one edit away from the
+    valid ``value``: a value replaced by a JSON value of another kind, a
+    required key deleted, a fixed-length list one entry longer or shorter."""
+    for bad in (None, True, 1.5, "x", [], {}):
+        if not (variable and bad == []):
+            yield f"{path} = {json.dumps(bad)}", bad
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key not in OPTIONAL_KEYS:
+                yield f"{path} without {key!r}", {k: v for k, v in value.items() if k != key}
+            for desc, bad in _malformed(item, f"{path}.{key}", key in VARIABLE_LISTS):
+                yield desc, {**value, key: bad}
+    elif isinstance(value, list):
+        if not variable:
+            yield f"{path} longer", value + value[-1:]
+            yield f"{path} shorter", value[:-1]
+        for i, item in enumerate(value):
+            for desc, bad in _malformed(item, f"{path}[{i}]"):
+                yield desc, value[:i] + [bad] + value[i + 1:]
+
+
+@pytest.mark.parametrize(
+    "decode,payload",
+    [
+        pytest.param(jsonio.point_from_json, ["1/2", "3"], id="point"),
+        pytest.param(jsonio.polygon_from_json,
+                     {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}, id="polygon"),
+        pytest.param(jsonio.affine_from_json,
+                     {"linear": [[1, 1], [0, 1]], "translation": ["1/2", "0"]}, id="affine"),
+        pytest.param(jsonio.params_from_json, {"a": "5/2", "b": "1", "m": 2}, id="params"),
+        pytest.param(jsonio.manifold_from_json, {"type": "s2xs2", "a": "5/2", "b": "1"},
+                     id="manifold-s2xs2"),
+        pytest.param(jsonio.manifold_from_json, {"type": "blowup_cp2", "l": "3", "e": "2"},
+                     id="manifold-blowup"),
+        pytest.param(jsonio.graph_from_json,
+                     {"nodes": [{"type": "isolated", "moment": "0", "weights": [1, 1]},
+                                {"type": "surface", "moment": "1", "area": "2", "genus": 0}],
+                      "edges": [{"k": 2, "endpoints": [0, 1], "interval": ["0", "1"]}]},
+                     id="graph"),
+        pytest.param(jsonio.fixed_data_from_json,
+                     {"components": [{"type": "surface", "index": 0, "genus": 1},
+                                     {"type": "isolated", "index": 2}]}, id="fixed-data"),
+    ],
+)
+def test_malformed_payloads_are_format_errors(decode, payload):
+    decode(payload)
+    not_format_errors = []
+    for desc, bad in _malformed(payload):
+        try:
+            decode(bad)
+        except FormatError:
+            continue
+        except DelzantError as exc:
+            not_format_errors.append(f"{desc}: {type(exc).__name__}")
+        else:
+            not_format_errors.append(f"{desc}: decoded")
+    assert not_format_errors == []
 
 
 def test_graph_dot_groups_levels_in_first_seen_order():

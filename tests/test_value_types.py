@@ -40,6 +40,7 @@ from delzant.errors import (
     InvalidParamsError,
     NotUnimodularError,
 )
+from delzant.lattice import mat_inverse_unimodular
 
 TRIANGLE = ((0, 0), (1, 0), (0, 1))
 TRIANGLE_REPR = (
@@ -191,6 +192,16 @@ def test_vector_order_is_tuple_order(cls):
     "cls,args,error",
     [
         pytest.param(IntersectionForm, ([1, 2],), InvalidParamsError, id="form-flat"),
+        pytest.param(IntersectionForm, (((0, 1), (1, 0.5)),), InvalidParamsError,
+                     id="form-float-entry"),
+        pytest.param(IntersectionForm, (((0, 1), (2, 0)),), InvalidParamsError,
+                     id="form-not-symmetric"),
+        pytest.param(IntersectionForm, (((1, 1), (1, 1)),), InvalidParamsError,
+                     id="form-degenerate"),
+        pytest.param(mat_inverse_unimodular, (((2, 0), (0, 1)),), NotUnimodularError,
+                     id="inverse-determinant-2"),
+        pytest.param(UnimodularAffine, (((1.0, 0), (0, 1)),), NotUnimodularError,
+                     id="affine-float-entry"),
         pytest.param(UnimodularAffine, ([1, 2],), NotUnimodularError, id="affine-flat"),
         pytest.param(UnimodularAffine, (((1, 0), (0, 1)), (1,)), NotUnimodularError,
                      id="affine-short-translation"),
