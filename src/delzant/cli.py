@@ -20,9 +20,12 @@ success, 1 on an error (JSON error object on stderr), 2 on a usage
 error, such as ``--m`` or ``--bound`` outside ``lattice.as_integer``'s
 grammar.  Input that is not UTF-8 (files and stdin alike), JSON nested
 too deeply, and rationals or ``--xi`` entries outside their grammars
-are ``bad_format``; a result with more digits than the interpreter
-will print is ``output_too_large``; any exception that is not a domain
-or I/O error is reported as ``internal_error``, never as a traceback.
+are ``bad_format``; a result with a number of more digits than the
+interpreter will print, integer or rational, is ``output_too_large``;
+``betti`` given anything but a polygon with ``--xi`` or ``--fixed-data``
+alone, and ``congruent - -``, are ``domain_error``; any exception that
+is not a domain or I/O error is reported as ``internal_error``, never
+as a traceback.
 When the reader closes standard output early, ``main`` exits 1 without
 printing anything.
 """
@@ -174,16 +177,19 @@ def _dispatch(args, stdin) -> tuple[str, bool]:
         return json.dumps(jsonio.graph_to_json(g), indent=2), False
 
     if args.command == "betti":
-        if args.fixed_data is not None:
+        given = (args.polygon is not None, args.xi is not None, args.fixed_data is not None)
+        if given == (False, False, True):
             data = _decode_json("fixed-data JSON", lambda: args.fixed_data)
             fixed = jsonio.fixed_data_from_json(data)
-        else:
-            if args.polygon is None or args.xi is None:
-                raise DelzantError("betti needs either a polygon with --xi or --fixed-data")
+        elif given == (True, True, False):
             fixed = circle_actions.fixed_point_data(_circle_graph(args, stdin))
+        else:
+            raise DelzantError("betti takes either a polygon with --xi, or --fixed-data alone")
         return json.dumps(list(circle_actions.betti_numbers(fixed))), False
 
     if args.command == "congruent":
+        if args.polygon1 == args.polygon2 == "-":
+            raise DelzantError("congruent takes two polygon files, or one file and - for stdin")
         p1 = _load_polygon(args.polygon1, stdin)
         p2 = _load_polygon(args.polygon2, stdin)
         witness = polygon.congruent(p1, p2)
@@ -222,9 +228,10 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "io_error", "detail": str(exc)}), file=stderr)
         return 1
-    except Exception as exc:  # a defect, or a limit such as int-to-str digits
-        detail = f"{type(exc).__name__}: {exc}"
-        print(json.dumps({"error": "internal_error", "detail": detail}), file=stderr)
+    except Exception as exc:  # a defect, or the interpreter's int-to-str digit limit
+        too_large = isinstance(exc, ValueError) and "for integer string conversion;" in str(exc)
+        code = "output_too_large" if too_large else "internal_error"
+        print(json.dumps({"error": code, "detail": f"{type(exc).__name__}: {exc}"}), file=stderr)
         return 1
     if is_raw:
         stdout.write(output)

@@ -25,9 +25,11 @@ Hamiltonian symplectomorphism group:
     spheres:  ceil(a / b)      (m = 2k, k < a/b)
     blow-up:  ceil(e / (l-e))  (m = 2k + 1, k < e/(l-e))
 
-Distinctness of the underlying symplectic structures reduces to a finite
-check on the intersection form: the integer matrices preserving the form
-cannot move one admissible area vector to another.
+Two such manifolds are symplectomorphic when an automorphism of the
+intersection form carries one area vector to the other.  On the
+canonical parameter ranges none moves a canonical vector to another, so
+``same_symplectic_class`` is equality; ``form_automorphisms`` lists the
+automorphisms, and the tests use it as the oracle for that lemma.
 """
 
 from __future__ import annotations
@@ -227,40 +229,31 @@ def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[M
     and transpose(M) Q M = Q, sorted by entries.
 
     For the two forms of interest the result is independent of the bound:
-    every solution already has entries in {-1, 0, 1}.  The search takes
-    O(bound) steps: for each first-column entry a, the entry c is a root
-    of a quadratic, and the second column then solves a linear system.
-    Given Q(a, c) = q00, the system's five rows hold exactly when
-    det M = sign and transpose(M) Q M = Q, so a column that solves all
-    five is an automorphism and is not checked again.
+    every solution already has entries in {-1, 0, 1}.  The search pairs
+    the two columns v = (a, c) and w = (b, d) of M, which must satisfy
+    Q(v) = q00, Q(w) = q11 and B(v, w) = q01.  One scan of a over
+    [-bound, bound] lists the first columns, each c a root of a
+    quadratic.  The second columns are the first columns of the form with
+    its axes swapped, and d takes only the values a of a first column:
+    the inverse det(M) ((d, -b), (-c, a)) is an automorphism too, so
+    +-(d, -c) is a first column.  So the cost is one O(bound) scan plus
+    one root computation per first column.  det(M)^2 det Q = det Q gives
+    det M = +-1 for free.
     """
-    if isinstance(form, IntersectionForm):
-        q = form.matrix
-    else:
-        q = IntersectionForm(form).matrix
+    q = (form if isinstance(form, IntersectionForm) else IntersectionForm(form)).matrix
     if not is_int(bound) or bound < 1:
         raise InvalidParamsError(f"bound must be a positive integer, got {bound!r}")
-    # M = ((a, b), (c, d)).  Its first column solves Q(a, c) = q00, a quadratic
-    # in c for each a.  Given that column and det M = sign, M^T Q M = Q reads
-    # Q M = sign * adj(M)^T Q, four equations linear in (b, d), plus det M =
-    # sign.  An automorphism of a nondegenerate form is fixed by one column and
-    # its determinant, so any two independent rows fix (b, d), and when no two
-    # rows are independent there is no automorphism.
     (q00, q01), (_, q11) = q
-    out = []
-    for a in range(-bound, bound + 1):
-        for c in _first_column_entries(q, a, bound):
-            for sign in (1, -1):
-                second = _solve_integer((
-                    (-c, a, sign),
-                    (0, sign * q00, q00 * a + (1 + sign) * q01 * c),
-                    (sign * q00, 0, (sign - 1) * q01 * a - q11 * c),
-                    (q00, (1 - sign) * q01, -sign * q11 * c),
-                    ((1 + sign) * q01, q11, sign * q11 * a),
-                ))
-                if second is not None and max(abs(second[0]), abs(second[1])) <= bound:
-                    out.append(((a, second[0]), (c, second[1])))
-    return tuple(sorted(out))
+    firsts = [(a, c) for a in range(-bound, bound + 1) for c in _first_column_entries(q, a, bound)]
+    swapped = ((q11, q01), (q01, q00))
+    seconds = [
+        (b, d) for d in {a for a, _ in firsts}
+        for b in _first_column_entries(swapped, d, bound)
+    ]
+    return tuple(sorted(
+        ((a, b), (c, d)) for a, c in firsts for b, d in seconds
+        if a * (q00 * b + q01 * d) + c * (q01 * b + q11 * d) == q01
+    ))
 
 
 def _first_column_entries(q: Mat2, a: int, bound: int) -> list[int]:
@@ -282,37 +275,15 @@ def _first_column_entries(q: Mat2, a: int, bound: int) -> list[int]:
     return [c for c in roots if -bound <= c <= bound and math.gcd(a, c) == 1]
 
 
-def _solve_integer(rows) -> tuple[int, int] | None:
-    """The integer (x, y) with p x + r y = s on every row, found from the
-    first two independent rows, or None when there is none."""
-    for i, (p1, r1, s1) in enumerate(rows):
-        for p2, r2, s2 in rows[i + 1:]:
-            det = p1 * r2 - r1 * p2
-            if det:
-                x, y = s1 * r2 - r1 * s2, p1 * s2 - s1 * p2
-                if x % det or y % det:
-                    return None
-                x, y = x // det, y // det
-                return (x, y) if all(p * x + r * y == s for p, r, s in rows) else None
-    return None
-
-
 def same_symplectic_class(m1: ManifoldClass, m2: ManifoldClass) -> bool:
     """Whether two labeled manifolds are symplectomorphic.
 
     Different union tags are never symplectomorphic (the intersection
-    forms differ).  Within a tag, the area vector of one must be carried
-    to the other's by an automorphism of the intersection form; given
-    the canonical parameter ranges this happens only at equality.
+    forms differ).  Within a tag, an automorphism of the intersection
+    form must carry one area vector to the other.  Those automorphisms
+    are {+-I, +-swap} for the hyperbolic form and {diag(+-1, +-1)} for
+    the blow-up form, and on the canonical ranges a >= b > 0 and
+    l > e > 0 they take a canonical vector to a canonical vector only
+    when the two are equal.  So the answer is plain equality.
     """
-    if type(m1) is not type(m2):
-        return False
-    if isinstance(m1, SphereProduct):
-        form = HYPERBOLIC_FORM
-        v1 = RatVec2(m1.a, m1.b)
-        v2 = RatVec2(m2.a, m2.b)
-    else:
-        form = BLOWUP_FORM
-        v1 = RatVec2(m1.l, m1.e)
-        v2 = RatVec2(m2.l, m2.e)
-    return any(mat_vec(m, v1) == v2 for m in form_automorphisms(form, 1))
+    return m1 == m2

@@ -163,12 +163,6 @@ class IntVec2(_Ordered, _Value):
             raise TypeError("IntVec2 entries must be integers")
         self.__dict__.update(x=x, y=y)
 
-    def __add__(self, other: "IntVec2") -> "IntVec2":
-        return IntVec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "IntVec2") -> "IntVec2":
-        return IntVec2(self.x - other.x, self.y - other.y)
-
     def __neg__(self) -> "IntVec2":
         return IntVec2(-self.x, -self.y)
 
@@ -255,12 +249,12 @@ def mat_inverse_unimodular(m: Mat2) -> Mat2:
 def solve_mat2(src: tuple[IntVec2, IntVec2], dst: tuple[IntVec2, IntVec2]) -> Mat2 | None:
     """Unique matrix S with S*src[0] = dst[0] and S*src[1] = dst[1].
 
-    Solved over the rationals; returns None when the source pair is
-    dependent or the solution is not an integer matrix.
+    The source pair must be independent: every caller passes two
+    consecutive edge directions or normals of a strictly convex polygon.
+    Solved over the rationals; returns None when the solution is not an
+    integer matrix.
     """
     d = det2(src[0], src[1])
-    if d == 0:
-        return None
     # S = [dst0 dst1] * [src0 src1]^{-1}, with the column inverse expanded by hand
     a = dst[0].x * src[1].y - dst[1].x * src[0].y
     b = dst[1].x * src[0].x - dst[0].x * src[1].x

@@ -3,15 +3,18 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
 
+from delzant import UnimodularAffine, apply_map
 from delzant.cli import run
+from delzant.jsonio import polygon_from_json, polygon_to_json
 
-from support import child_env
+from support import ROOT, child_env
 
 SQUARE = json.dumps({"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]})
 TRAPEZOID = json.dumps({"vertices": [["0", "0"], ["5/2", "0"], ["3/2", "1"], ["0", "1"]]})
@@ -258,3 +261,35 @@ def test_cli_import_loads_only_the_modules_the_package_names():
     added = json.loads(proc.stdout)
     assert "delzant.cli" in added
     assert [name for name in added if not name.startswith("delzant")] == []
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Every ``delzant`` line of the README's command-line block exits 0 in
+    process, and prints the literal result its comment gives, if any."""
+    readme = (ROOT / "README.md").read_text()
+    block = next(b for b in readme.split("```sh\n")[1:] if b.startswith("delzant standard"))
+    lines = [line for line in block.split("```", 1)[0].splitlines() if line.startswith("delzant ")]
+    assert len(lines) == 12
+    monkeypatch.chdir(tmp_path)
+    literal = 0
+    for line in lines:
+        command, _, comment = line.partition("  #")
+        argv = shlex.split(command)[1:]
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[-1]
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, ""), line
+        if target is not None:
+            (tmp_path / target).write_text(out)
+            # other.json: trap.json under the shear (x, y) -> (x + y, y)
+            trap = polygon_from_json(json.loads(out))
+            sheared = apply_map(trap, UnimodularAffine(((1, 1), (0, 1))))
+            (tmp_path / "other.json").write_text(json.dumps(polygon_to_json(sheared)))
+        try:
+            json.loads(comment)
+        except json.JSONDecodeError:
+            continue  # a description, not a result
+        assert out == comment.strip() + "\n", line
+        literal += 1
+    assert literal == 2

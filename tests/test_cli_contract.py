@@ -16,6 +16,12 @@ SQUARE = json.dumps({"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]
 DEEP = "[" * 100_000
 PENTAGRAM = json.dumps({"vertices": [["0", "0"], ["3", "2"], ["-1", "2"], ["2", "0"], ["1", "3"]]})
 SEVENS = "7" * 4000  # parses, but a + b/2 has too many digits to print
+BIG = "1" + "0" * 4200  # parses, but a/b = 10^8400 has too many digits to print
+# the triangle (0, 0), (a/p, 0), (0, b/q): its inward normals have about 8000 digits
+A, B, P, Q = 2 * 10**3999 + 1, 3 * 10**3999 + 1, 10**4000 + 3, 10**4000 + 7
+TRIANGLE = json.dumps({"vertices": [["0", "0"], [f"{A}/{P}", "0"], ["0", f"{B}/{Q}"]]})
+FIXED = json.dumps({"components": [{"type": "surface", "index": 0, "genus": 1},
+                                   {"type": "surface", "index": 2, "genus": 1}]})
 
 CASES = {
     # rationals outside -?\d+(/\d+)?
@@ -26,6 +32,13 @@ CASES = {
     "digit-limit": (
         ["standard", "--a", SEVENS, "--b", "1/" + SEVENS, "--m", "1"], "output_too_large"
     ),
+    # integers too long to print: a count, normals, and a not_delzant message
+    "count-tori-digit-limit": (
+        ["count-tori", "--manifold", json.dumps({"type": "s2xs2", "a": BIG, "b": "1/" + BIG})],
+        "output_too_large",
+    ),
+    "verify-digit-limit": (["verify", "@triangle"], "output_too_large"),
+    "graph-digit-limit": (["graph", "@triangle", "--xi", "1,0"], "output_too_large"),
     # a polygon file that is not UTF-8, for every subcommand that reads one
     "verify-not-utf8": (["verify", "@bad"], "bad_format"),
     "classify-not-utf8": (["classify", "@bad"], "bad_format"),
@@ -47,17 +60,23 @@ CASES = {
     "verify-pentagram": (["verify", "@pentagram"], "non_convex"),
     # betti reads a polygon with --xi, or --fixed-data
     "betti-no-input": (["betti"], "domain_error"),
+    "betti-both-inputs": (["betti", "@square", "--xi", "1,0", "--fixed-data", FIXED],
+                          "domain_error"),
+    # stdin holds one polygon
+    "congruent-stdin-twice": (["congruent", "-", "-"], "domain_error"),
 }
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {"bad": tmp_path / "bad.json", "deep": tmp_path / "deep.json",
-             "pentagram": tmp_path / "pentagram.json", "square": tmp_path / "square.json"}
+             "pentagram": tmp_path / "pentagram.json", "square": tmp_path / "square.json",
+             "triangle": tmp_path / "triangle.json"}
     paths["bad"].write_bytes(b"\xff\xfe{")
     paths["deep"].write_text(DEEP)
     paths["pentagram"].write_text(PENTAGRAM)
     paths["square"].write_text(SQUARE)
+    paths["triangle"].write_text(TRIANGLE)
     return {"@" + name: str(path) for name, path in paths.items()}
 
 
@@ -82,6 +101,36 @@ def test_bad_input_gives_one_json_error(name, files):
         capture_output=True, text=True, env=child_env(), timeout=60, check=False,
     )
     assert_one_error_object(proc.returncode, proc.stdout, proc.stderr, expected)
+
+
+AMBIGUOUS = {
+    "betti-both-inputs": (CASES["betti-both-inputs"][0], "a polygon with --xi, or --fixed-data"),
+    "congruent-stdin-twice": (CASES["congruent-stdin-twice"][0], "one file and - for stdin"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMBIGUOUS))
+def test_ambiguous_input_names_the_allowed_forms(name, files):
+    # with a valid polygon on stdin, so nothing but the ambiguity can fail
+    argv, allowed = AMBIGUOUS[name]
+    out, err = io.StringIO(), io.StringIO()
+    code = run([files.get(a, a) for a in argv], stdout=out, stderr=err, stdin=io.StringIO(SQUARE))
+    assert_one_error_object(code, out.getvalue(), err.getvalue(), "domain_error")
+    assert allowed in json.loads(err.getvalue())["detail"]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("boom")],
+                         ids=["runtime-error", "value-error"])
+def test_unexpected_exception_is_internal_error(exc, monkeypatch):
+    def fail(manifold):
+        raise exc
+
+    monkeypatch.setattr("delzant.hirzebruch.count_tori", fail)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["count-tori", "--manifold", '{"type":"s2xs2","a":"2","b":"1"}'],
+               stdout=out, stderr=err)
+    assert_one_error_object(code, out.getvalue(), err.getvalue(), "internal_error")
+    assert json.loads(err.getvalue())["detail"] == f"{type(exc).__name__}: boom"
 
 
 def child(argv, stdin=b""):

@@ -83,6 +83,8 @@ REMOVED_NAMES = [
     "delzant.jsonio.node_from_json",
     "LabeledGraph.min_moment",
     "LabeledGraph.max_moment",
+    "IntVec2.__add__",
+    "IntVec2.__sub__",
 ]
 
 

@@ -12,6 +12,7 @@ from delzant import (
     BlowUp,
     HirzebruchParams,
     IntersectionForm,
+    RatVec2,
     SphereProduct,
     UnimodularAffine,
     apply_map,
@@ -27,6 +28,7 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant.errors import EdgeCountError, InvalidParamsError, NotDelzantError
+from delzant.lattice import mat_vec
 
 from reference_forms import reference_form_automorphisms
 from support import rand_affine, rand_params
@@ -243,12 +245,27 @@ def test_same_symplectic_class():
     assert not same_symplectic_class(SphereProduct(2, 1), BlowUp(Fraction(5, 2), Fraction(3, 2)))
     assert not same_symplectic_class(BlowUp(3, 2), BlowUp(3, 1))
     assert same_symplectic_class(BlowUp(3, 2), BlowUp(3, 2))
-    # orbit test agrees with canonical parameter equality
-    rng = Random(23)
-    for _ in range(50):
-        m1 = SphereProduct(Fraction(rng.randint(1, 30), 3), Fraction(rng.randint(1, 30), 3))
-        m2 = SphereProduct(Fraction(rng.randint(1, 30), 3), Fraction(rng.randint(1, 30), 3))
-        assert same_symplectic_class(m1, m2) == (m1 == m2)
+
+    # oracle: an automorphism of the intersection form carries one area
+    # vector to the other; bound 1 holds the whole group (see
+    # test_form_automorphisms_counts_stable_across_bounds)
+    def orbit_meets(m1, m2):
+        if type(m1) is not type(m2):
+            return False
+        if isinstance(m1, SphereProduct):
+            form, v1, v2 = HYPERBOLIC_FORM, RatVec2(m1.a, m1.b), RatVec2(m2.a, m2.b)
+        else:
+            form, v1, v2 = BLOWUP_FORM, RatVec2(m1.l, m1.e), RatVec2(m2.l, m2.e)
+        return any(mat_vec(m, v1) == v2 for m in form_automorphisms(form, 1))
+
+    values = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+              Fraction(7, 3), Fraction(3)]
+    grid = [SphereProduct(a, b) for a in values for b in values if a >= b]
+    grid += [BlowUp(l, e) for l in values for e in values if l > e]
+    assert any(m.a == m.b for m in grid if isinstance(m, SphereProduct))
+    for m1 in grid:
+        for m2 in grid:
+            assert same_symplectic_class(m1, m2) == orbit_meets(m1, m2), (m1, m2)
 
 
 def test_count_is_exact_at_integer_ratios():
