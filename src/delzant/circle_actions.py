@@ -200,7 +200,7 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     xi = direction.xi
     report = is_delzant(poly)
     if not report.is_delzant:
-        raise NotDelzantError(f"polygon is not Delzant: failures {report.failures}")
+        raise NotDelzantError(report.failures)
 
     edges = edge_data(poly)
     n = len(edges)

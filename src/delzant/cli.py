@@ -19,9 +19,10 @@ Polygon arguments are file paths, or "-" for stdin.  Exit codes: 0 on
 success, 1 on an error (JSON error object on stderr), 2 on a usage
 error, such as ``--m`` or ``--bound`` outside ``lattice.as_integer``'s
 grammar.  Input that is not UTF-8 (files and stdin alike), JSON nested
-too deeply, and rationals or ``--xi`` entries outside their grammars
-are ``bad_format``; a result with a number of more digits than the
-interpreter will print, integer or rational, is ``output_too_large``;
+too deeply or holding a number too long to read, and rationals or
+``--xi`` entries outside their grammars are ``bad_format``; a result
+with a number of more digits than the interpreter will print, integer
+or rational, is ``output_too_large``;
 ``betti`` given anything but a polygon with ``--xi`` or ``--fixed-data``
 alone, and ``congruent - -``, are ``domain_error``; any exception that
 is not a domain or I/O error is reported as ``internal_error``, never
@@ -46,7 +47,7 @@ from .lattice import as_integer
 def _decode_json(what: str, read):
     """JSON value of the text ``read()`` returns.
 
-    Undecodable bytes and nesting too deep for the decoder are
+    Undecodable bytes, too deep nesting and too long integer literals are
     ``bad_format`` errors; other malformed JSON keeps the general code.
     """
     try:
@@ -57,6 +58,10 @@ def _decode_json(what: str, read):
         raise FormatError(f"{what} is nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise DelzantError(f"malformed {what}: {exc}") from exc
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # not the digit limit
+            raise
+        raise FormatError(f"{what} has a number too long to read") from exc
 
 
 def _read_text(path: str, stdin) -> str:
@@ -201,11 +206,8 @@ def _dispatch(args, stdin) -> tuple[str, bool]:
         report = circle_actions.check_extendable(_circle_graph(args, stdin))
         return json.dumps(jsonio.extendability_to_json(report), indent=2), False
 
-    if args.command == "form-autos":
-        autos = hirzebruch.form_automorphisms(_FORMS[args.form], args.bound)
-        return json.dumps(jsonio.matrices_to_json(autos), indent=2), False
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    autos = hirzebruch.form_automorphisms(_FORMS[args.form], args.bound)
+    return json.dumps(jsonio.matrices_to_json(autos), indent=2), False
 
 
 def run(argv, stdout=None, stderr=None, stdin=None) -> int:
@@ -222,22 +224,18 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     try:
         output, is_raw = _dispatch(args, stdin)
     except DelzantError as exc:
-        error = {"error": exc.code, "detail": str(exc)}
-        print(json.dumps(error), file=stderr)
-        return 1
+        code, detail = exc.code, str(exc)
     except OSError as exc:
-        print(json.dumps({"error": "io_error", "detail": str(exc)}), file=stderr)
-        return 1
+        code, detail = "io_error", str(exc)
     except Exception as exc:  # a defect, or the interpreter's int-to-str digit limit
         too_large = isinstance(exc, ValueError) and "for integer string conversion;" in str(exc)
         code = "output_too_large" if too_large else "internal_error"
-        print(json.dumps({"error": code, "detail": f"{type(exc).__name__}: {exc}"}), file=stderr)
-        return 1
-    if is_raw:
-        stdout.write(output)
+        detail = f"{type(exc).__name__}: {exc}"
     else:
-        print(output, file=stdout)
-    return 0
+        stdout.write(output if is_raw else output + "\n")
+        return 0
+    print(json.dumps({"error": code, "detail": detail}), file=stderr)
+    return 1
 
 
 def main() -> None:

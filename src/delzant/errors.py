@@ -54,7 +54,17 @@ class NonConvexError(DelzantError):
 
 
 class NotDelzantError(DelzantError):
+    """Names the failing edges only, as a determinant may be too long to
+    print; ``failures`` holds the (edge, determinant) pairs."""
+
     code = "not_delzant"
+
+    def __init__(self, failures: tuple[tuple[int, int], ...]):
+        self.failures = failures
+        super().__init__(f"polygon is not Delzant at edges {[i for i, _ in failures]}")
+
+    def __reduce__(self):  # pickle rebuilds from the pairs, not from the message
+        return NotDelzantError, (self.failures,)
 
 
 class EdgeCountError(DelzantError):

@@ -81,10 +81,10 @@ class SphereProduct(_Value):
 
     def __init__(self, a: Fraction, b: Fraction):
         a, b = as_rational(a), as_rational(b)
+        if a <= 0 or b <= 0:
+            raise InvalidParamsError(f"need a, b > 0, got a={a}, b={b}")
         if a < b:
             a, b = b, a
-        if b <= 0:
-            raise InvalidParamsError(f"need a >= b > 0, got a={a}, b={b}")
         self.__dict__.update(a=a, b=b)
 
 
@@ -166,7 +166,7 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
         raise EdgeCountError(f"expected a quadrilateral, got {len(poly)} edges")
     report = is_delzant(poly)
     if not report.is_delzant:
-        raise NotDelzantError(f"polygon is not Delzant: failures {report.failures}")
+        raise NotDelzantError(report.failures)
     u = report.normals * 2  # doubled, so u[r + j] needs no wrap-around
     standard = [
         r for r in range(4) if det2(u[r + 3], u[r + 1]) == 0 and det2(u[r], u[r + 2]) <= 0

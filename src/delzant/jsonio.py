@@ -187,24 +187,17 @@ def delzant_report_to_json(report: DelzantReport) -> dict:
     }
 
 
-def node_to_json(node: GraphNode) -> dict:
-    if isinstance(node, IsolatedPoint):
-        return {
-            "type": "isolated",
-            "moment": rational_to_json(node.moment),
-            "weights": list(node.weights),
-        }
-    return {
-        "type": "surface",
-        "moment": rational_to_json(node.moment),
-        "area": rational_to_json(node.area),
-        "genus": node.genus,
-    }
-
-
 def graph_to_json(g: LabeledGraph) -> dict:
+    nodes = []
+    for n in g.nodes:
+        if isinstance(n, IsolatedPoint):
+            nodes.append({"type": "isolated", "moment": rational_to_json(n.moment),
+                          "weights": list(n.weights)})
+        else:
+            nodes.append({"type": "surface", "moment": rational_to_json(n.moment),
+                          "area": rational_to_json(n.area), "genus": n.genus})
     return {
-        "nodes": [node_to_json(n) for n in g.nodes],
+        "nodes": nodes,
         "edges": [
             {
                 "k": e.k,

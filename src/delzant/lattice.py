@@ -13,7 +13,6 @@ stay integral.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
@@ -142,17 +141,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-@functools.total_ordering
-class _Ordered:
-    """Mixin for a value type ordered by its field tuple within the class."""
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) < self._key(other)
-        return NotImplemented
-
-
-class IntVec2(_Ordered, _Value):
+class IntVec2(_Value):
     """Integer lattice vector (edge directions, normals, circle directions)."""
 
     _fields = ("x", "y")
@@ -177,7 +166,7 @@ class IntVec2(_Ordered, _Value):
         return self.x == 0 and self.y == 0
 
 
-class RatVec2(_Ordered, _Value):
+class RatVec2(_Value):
     """Point of the rational plane; also used for translations."""
 
     _fields = ("x", "y")
@@ -293,10 +282,6 @@ class UnimodularAffine(_Value):
             translation = RatVec2(*pair)
         self.__dict__.update(linear=lin, translation=translation)
 
-    @classmethod
-    def identity(cls) -> "UnimodularAffine":
-        return cls()
-
     def apply(self, p: RatVec2) -> RatVec2:
         """R p + v, exactly.
 
@@ -324,7 +309,3 @@ class UnimodularAffine(_Value):
             mat_mul(self.linear, other.linear),
             mat_vec(self.linear, other.translation) + self.translation,
         )
-
-    def invert(self) -> "UnimodularAffine":
-        inv = mat_inverse_unimodular(self.linear)
-        return UnimodularAffine(inv, -mat_vec(inv, self.translation))

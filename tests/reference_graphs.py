@@ -38,7 +38,7 @@ def reference_circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) 
     xi = direction.xi
     report = is_delzant(poly)
     if not report.is_delzant:
-        raise NotDelzantError(f"polygon is not Delzant: failures {report.failures}")
+        raise NotDelzantError(report.failures)
 
     edges = edge_data(poly)
     n = len(edges)

@@ -131,7 +131,7 @@ def reference_classify_quadrilateral(
         raise EdgeCountError(f"expected a quadrilateral, got {len(poly)} edges")
     report = is_delzant(poly)
     if not report.is_delzant:
-        raise NotDelzantError(f"polygon is not Delzant: failures {report.failures}")
+        raise NotDelzantError(report.failures)
     normals = report.normals
 
     e1, e2 = IntVec2(1, 0), IntVec2(0, 1)

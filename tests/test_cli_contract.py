@@ -20,6 +20,13 @@ BIG = "1" + "0" * 4200  # parses, but a/b = 10^8400 has too many digits to print
 # the triangle (0, 0), (a/p, 0), (0, b/q): its inward normals have about 8000 digits
 A, B, P, Q = 2 * 10**3999 + 1, 3 * 10**3999 + 1, 10**4000 + 3, 10**4000 + 7
 TRIANGLE = json.dumps({"vertices": [["0", "0"], [f"{A}/{P}", "0"], ["0", f"{B}/{Q}"]]})
+# the same slant on a quadrilateral, for classify
+QUAD = json.dumps({"vertices": [["0", "0"], [f"{A}/{P}", "0"], [f"{A}/{P}", "1"],
+                                ["0", f"{B}/{Q}"]]})
+# an integer literal json.loads will not read; json.dumps cannot write one, so it is
+# spliced into the text by hand
+LONG = "1" * 5000
+PADDED = '{"vertices": [["0", "0"], ["1", "0"], ["0", "1"]], "pad": ' + LONG + "}"
 FIXED = json.dumps({"components": [{"type": "surface", "index": 0, "genus": 1},
                                    {"type": "surface", "index": 2, "genus": 1}]})
 
@@ -32,13 +39,31 @@ CASES = {
     "digit-limit": (
         ["standard", "--a", SEVENS, "--b", "1/" + SEVENS, "--m", "1"], "output_too_large"
     ),
-    # integers too long to print: a count, normals, and a not_delzant message
+    # integers too long to print: a count and normals
     "count-tori-digit-limit": (
         ["count-tori", "--manifold", json.dumps({"type": "s2xs2", "a": BIG, "b": "1/" + BIG})],
         "output_too_large",
     ),
     "verify-digit-limit": (["verify", "@triangle"], "output_too_large"),
-    "graph-digit-limit": (["graph", "@triangle", "--xi", "1,0"], "output_too_large"),
+    # a not_delzant error names its edges, not its determinants of about 8000 digits
+    "graph-digit-limit": (["graph", "@triangle", "--xi", "1,0"], "not_delzant"),
+    "betti-digit-limit": (["betti", "@triangle", "--xi", "1,0"], "not_delzant"),
+    "extendable-digit-limit": (["extendable", "@triangle", "--xi", "1,0"], "not_delzant"),
+    "classify-digit-limit": (["classify", "@quad"], "not_delzant"),
+    # integer literals too long to read, in each kind of JSON input
+    "verify-long-integer": (["verify", "-"], "bad_format"),
+    "count-tori-long-integer": (
+        ["count-tori", "--manifold", '{"type": "s2xs2", "a": "2", "b": "1", "pad": ' + LONG + "}"],
+        "bad_format",
+    ),
+    "betti-long-integer": (
+        ["betti", "--fixed-data", '{"components": [{"type": "isolated", "index": ' + LONG + "}]}"],
+        "bad_format",
+    ),
+    # areas out of range, reported in the order given
+    "count-tori-negative-area": (
+        ["count-tori", "--manifold", '{"type": "s2xs2", "a": "-2", "b": "1"}'], "invalid_params"
+    ),
     # a polygon file that is not UTF-8, for every subcommand that reads one
     "verify-not-utf8": (["verify", "@bad"], "bad_format"),
     "classify-not-utf8": (["classify", "@bad"], "bad_format"),
@@ -65,42 +90,56 @@ CASES = {
     # stdin holds one polygon
     "congruent-stdin-twice": (["congruent", "-", "-"], "domain_error"),
 }
+# the text on stdin, where it is not empty
+STDIN = {"verify-long-integer": PADDED}
+# a part of the detail, where the code alone does not show the fault
+DETAILS = {
+    "graph-digit-limit": "polygon is not Delzant at edges [0, 1]",
+    "classify-digit-limit": "polygon is not Delzant at edges [",
+    "verify-long-integer": "has a number too long to read",
+    "count-tori-long-integer": "has a number too long to read",
+    "betti-long-integer": "has a number too long to read",
+    "count-tori-negative-area": "need a, b > 0, got a=-2, b=1",
+}
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {"bad": tmp_path / "bad.json", "deep": tmp_path / "deep.json",
              "pentagram": tmp_path / "pentagram.json", "square": tmp_path / "square.json",
-             "triangle": tmp_path / "triangle.json"}
+             "triangle": tmp_path / "triangle.json", "quad": tmp_path / "quad.json"}
     paths["bad"].write_bytes(b"\xff\xfe{")
     paths["deep"].write_text(DEEP)
     paths["pentagram"].write_text(PENTAGRAM)
     paths["square"].write_text(SQUARE)
     paths["triangle"].write_text(TRIANGLE)
+    paths["quad"].write_text(QUAD)
     return {"@" + name: str(path) for name, path in paths.items()}
 
 
-def assert_one_error_object(code, out, err, expected):
+def assert_one_error_object(code, out, err, expected, detail=""):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert err.endswith("\n") and err.count("\n") == 1
     error = json.loads(err)
     assert isinstance(error, dict) and error["error"] == expected
+    assert detail in error["detail"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bad_input_gives_one_json_error(name, files):
     argv, expected = CASES[name]
     argv = [files.get(a, a) for a in argv]
+    stdin, detail = STDIN.get(name, ""), DETAILS.get(name, "")
     out, err = io.StringIO(), io.StringIO()
-    code = run(argv, stdout=out, stderr=err, stdin=io.StringIO(""))
-    assert_one_error_object(code, out.getvalue(), err.getvalue(), expected)
+    code = run(argv, stdout=out, stderr=err, stdin=io.StringIO(stdin))
+    assert_one_error_object(code, out.getvalue(), err.getvalue(), expected, detail)
 
     proc = subprocess.run(
-        [sys.executable, "-m", "delzant.cli", *argv],
+        [sys.executable, "-m", "delzant.cli", *argv], input=stdin,
         capture_output=True, text=True, env=child_env(), timeout=60, check=False,
     )
-    assert_one_error_object(proc.returncode, proc.stdout, proc.stderr, expected)
+    assert_one_error_object(proc.returncode, proc.stdout, proc.stderr, expected, detail)
 
 
 AMBIGUOUS = {

@@ -1,0 +1,115 @@
+"""The CLI contract under fuzzed JSON input, in process: each JSON text
+the command line reads (a polygon on stdin, ``count-tori --manifold``
+and ``betti --fixed-data``) is a valid payload or one with a single
+edit, and every run exits 0 or 1, with one JSON error object that is not
+``internal_error`` on exit 1 and never a traceback.
+
+``enumerate-tori`` is left out: its work grows with the ratio of the two
+areas, which a fuzzed payload can make as large as it likes.
+"""
+
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delzant.cli import run
+
+# an integer literal of more digits than json.loads will read: json.dumps
+# cannot write one, so a placeholder string is replaced in the text
+LONG_INT = "1" * 4400
+PLACEHOLDER = "\x00long"
+HUGE = "7" * 4000
+
+POLYGONS = [
+    {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
+    {"vertices": [["0", "0"], ["7/2", "0"], ["3/2", "1"], ["0", "1"]]},
+    {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "1"]]},  # not Delzant
+    {"vertices": [["0", "0"], ["2", "0"], ["0", "2"]]},
+    {"vertices": [["0", "0"], ["1", "0"], ["2", "1"], ["2", "2"], ["1", "2"], ["0", "1"]]},
+]
+MANIFOLDS = [
+    {"type": "s2xs2", "a": "5/2", "b": "1"},
+    {"type": "blowup_cp2", "l": "3", "e": "2"},
+]
+FIXED_DATA = [
+    {"components": [{"type": "surface", "index": 0, "genus": 1},
+                    {"type": "surface", "index": 2, "genus": 1}]},
+    {"components": [{"type": "isolated", "index": i} for i in (0, 2, 2, 4)]},
+]
+
+# other JSON kinds, rationals with 4000-digit parts, and a literal too long to read
+REPLACEMENTS = st.sampled_from([
+    None, True, False, 0, -3, 2.5, 1e308, "", "x", "1/0", "-", [], [[]], {}, {"a": "1"},
+    HUGE, "-" + HUGE, "1/" + HUGE, HUGE + "/" + HUGE[:-1] + "9", PLACEHOLDER,
+])
+
+
+@st.composite
+def edited(draw, value):
+    """``value`` with at most one edit: a node replaced, or, in an object,
+    a key added or removed."""
+    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        key = draw(st.sampled_from(keys))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = draw(edited(value[key]))
+        return copy
+    action = draw(st.sampled_from(["keep", "replace", "add", "remove"]))
+    if action == "replace" or (action != "keep" and not isinstance(value, dict)):
+        return draw(REPLACEMENTS)
+    if action == "add":
+        return {**value, draw(st.sampled_from(["pad", "type", "index"])): draw(REPLACEMENTS)}
+    if action == "remove" and value:
+        key = draw(st.sampled_from(sorted(value)))
+        return {k: v for k, v in value.items() if k != key}
+    return value
+
+
+def text_of(value) -> str:
+    return json.dumps(value).replace(json.dumps(PLACEHOLDER), LONG_INT)
+
+
+@pytest.fixture(scope="module")
+def square_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "square.json"
+    path.write_text(json.dumps(POLYGONS[0]))
+    return str(path)
+
+
+POLYGON_COMMANDS = [
+    ["verify", "-"], ["classify", "-"], ["graph", "-", "--xi", "1,0"],
+    ["graph", "-", "--xi=-1,2", "--dot"], ["betti", "-", "--xi", "0,1"],
+    ["extendable", "-", "--xi", "1,1"], ["congruent", "@square", "-"],
+]
+
+
+@st.composite
+def calls(draw):
+    """An argv and the text on stdin."""
+    kind = draw(st.sampled_from(["polygon", "manifold", "fixed-data"]))
+    if kind == "polygon":
+        argv = draw(st.sampled_from(POLYGON_COMMANDS))
+        return argv, text_of(draw(edited(draw(st.sampled_from(POLYGONS)))))
+    if kind == "manifold":
+        return ["count-tori", "--manifold", text_of(draw(edited(draw(st.sampled_from(MANIFOLDS)))))], ""
+    return ["betti", "--fixed-data", text_of(draw(edited(draw(st.sampled_from(FIXED_DATA)))))], ""
+
+
+@settings(max_examples=400, deadline=None)
+@given(calls())
+def test_fuzzed_json_input_keeps_the_cli_contract(square_file, call):
+    argv, stdin = call
+    argv = [square_file if a == "@square" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdout=out, stderr=err, stdin=io.StringIO(stdin))
+    assert code in (0, 1), (argv, stdin[:200])
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue()
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        error = json.loads(err.getvalue())
+        assert error["error"] != "internal_error", (argv, stdin[:200], error)

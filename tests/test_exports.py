@@ -85,6 +85,9 @@ REMOVED_NAMES = [
     "LabeledGraph.max_moment",
     "IntVec2.__add__",
     "IntVec2.__sub__",
+    "UnimodularAffine.identity",
+    "UnimodularAffine.invert",
+    "delzant.jsonio.node_to_json",
 ]
 
 

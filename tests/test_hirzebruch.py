@@ -1,6 +1,7 @@
 """Trapezoid classification, torus counting, and intersection-form checks."""
 
 import math
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -60,15 +61,20 @@ def test_standard_trapezoid_vertices():
 def test_classify_unit_square():
     params, witness = classify_quadrilateral(standard_trapezoid(HirzebruchParams(1, 1, 0)))
     assert params == HirzebruchParams(1, 1, 0)
-    assert witness == UnimodularAffine.identity()
+    assert witness == UnimodularAffine()
 
 
 def test_classify_requires_delzant_quadrilateral():
     with pytest.raises(EdgeCountError):
         classify_quadrilateral(make_polygon([(0, 0), (1, 0), (0, 1)]))
     # the top-right corner pairs normals (-1, 0) and (1, -2), determinant 2
-    with pytest.raises(NotDelzantError):
+    with pytest.raises(NotDelzantError) as exc:
         classify_quadrilateral(make_polygon([(0, 0), (2, 0), (2, 2), (0, 1)]))
+    # the message names the edges only; the determinants stay on the error
+    assert exc.value.failures == ((1, 2), (2, 2))
+    assert str(exc.value) == "polygon is not Delzant at edges [1, 2]"
+    twin = pickle.loads(pickle.dumps(exc.value))
+    assert (twin.failures, str(twin)) == (exc.value.failures, str(exc.value))
 
 
 def test_classify_round_trip_random_maps():
@@ -122,6 +128,9 @@ def test_manifold_validation():
     assert SphereProduct(1, 2) == SphereProduct(2, 1)
     with pytest.raises(InvalidParamsError):
         SphereProduct(1, 0)
+    # a rejected pair is reported in the order it was given, not swapped
+    with pytest.raises(InvalidParamsError, match=r"^need a, b > 0, got a=-2, b=1$"):
+        SphereProduct(-2, 1)
     with pytest.raises(InvalidParamsError):
         BlowUp(1, 1)
     with pytest.raises(InvalidParamsError):

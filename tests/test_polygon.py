@@ -239,7 +239,7 @@ def test_standard_trapezoids_always_delzant():
 
 def test_apply_map_identity_and_shear():
     sq = make_polygon(UNIT_SQUARE)
-    assert apply_map(sq, UnimodularAffine.identity()) == sq
+    assert apply_map(sq, UnimodularAffine()) == sq
     sheared = apply_map(sq, UnimodularAffine(((1, 1), (0, 1))))
     assert sheared == make_polygon([(0, 0), (1, 0), (2, 1), (1, 1)])
     assert is_delzant(sheared).is_delzant
@@ -281,7 +281,7 @@ def test_congruent_different_trapezoids_absent():
 
 def test_congruent_self_is_identity():
     trap = standard_trapezoid(HirzebruchParams(Fraction(7, 2), Fraction(3, 2), 2))
-    assert congruent(trap, trap) == UnimodularAffine.identity()
+    assert congruent(trap, trap) == UnimodularAffine()
 
 
 def test_congruent_random_round_trip():

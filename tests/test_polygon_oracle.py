@@ -17,7 +17,7 @@ from delzant import (
     make_polygon,
     standard_trapezoid,
 )
-from delzant.errors import DelzantError
+from delzant.errors import DelzantError, NotDelzantError
 from delzant.lattice import det2, mat_det, mat_vec, solve_mat2
 
 from reference_polygons import (
@@ -45,7 +45,9 @@ def outcome(fn, *args) -> str:
     try:
         return repr(fn(*args))
     except Exception as exc:  # the oracle comparison covers errors as well
-        return f"{type(exc).__name__}: {exc}"
+        text = f"{type(exc).__name__}: {exc}"
+        # the message names the failing edges; the determinants are on ``failures``
+        return f"{text} {exc.failures}" if isinstance(exc, NotDelzantError) else text
 
 
 def cut_corner(poly: Polygon, j: int, size) -> Polygon:
@@ -74,7 +76,7 @@ def cut_corners(poly: Polygon, rng: Random, cuts: int) -> Polygon:
 def cut_orbit(poly: Polygon, vertex: RatVec2, size: int) -> Polygon:
     """Cut the corners at every image of ``vertex`` under the square's
     symmetries by ``size``, so a D4-symmetric polygon stays symmetric."""
-    for image in sorted({mat_vec(g, vertex) for g in DIHEDRAL}):
+    for image in sorted({mat_vec(g, vertex) for g in DIHEDRAL}, key=lambda p: (p.x, p.y)):
         poly = cut_corner(poly, poly.vertices.index(image), size)
     return poly
 
