@@ -21,9 +21,9 @@ edge:
 ``circle_graph`` orders the nodes without a sort, by merging the two
 chains of vertices along which the moment rises from the minimum, one
 each way round the boundary.  Graph values are checked only by the
-public constructors of the graph types, which ``jsonio`` decodes
-through; ``circle_graph`` and ``flip_graph`` build values that are
-valid by construction and skip the checks.
+public constructors of the graph types, which ``jsonio`` decodes and
+``flip_graph`` builds through; ``circle_graph`` builds values that are
+valid by construction and skips the checks.
 
 Two graphs are isomorphic when they match node-for-node and
 edge-for-edge after translating both moment scales to start at 0.
@@ -303,26 +303,19 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
 
 
 def flip_graph(g: LabeledGraph) -> LabeledGraph:
-    """The graph of the reversed circle direction: negate moments and weights.
-
-    Flipping keeps every check of the graph types true (the sorted
-    weights (a, b) become (-b, -a), and each edge interval and its
-    endpoints swap ends), so the values are stored without running the
-    checks again.
-    """
-    new = object.__new__
+    """The graph of the reversed circle direction: negate moments and
+    weights, and swap the ends of every edge."""
     nodes = tuple(
-        new(IsolatedPoint)._store(moment=-n.moment, weights=(-n.weights[1], -n.weights[0]))
-        if isinstance(n, IsolatedPoint)
-        else new(FatVertex)._store(moment=-n.moment, area=n.area, genus=n.genus)
+        IsolatedPoint(-n.moment, (-n.weights[1], -n.weights[0]))
+        if isinstance(n, IsolatedPoint) else FatVertex(-n.moment, n.area, n.genus)
         for n in g.nodes
     )
     edges = tuple(
-        new(ZkEdge)._store(k=e.k, endpoints=(e.endpoints[1], e.endpoints[0]),
-                           moment_interval=(-e.moment_interval[1], -e.moment_interval[0]))
+        ZkEdge(e.k, (e.endpoints[1], e.endpoints[0]),
+               (-e.moment_interval[1], -e.moment_interval[0]))
         for e in g.edges
     )
-    return new(LabeledGraph)._store(nodes=nodes, edges=edges)
+    return LabeledGraph(nodes, edges)
 
 
 def _edge_orders(g: LabeledGraph) -> list[dict[int, list[int]]]:
@@ -551,8 +544,8 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
             )
 
     # every edge interval runs between the moments of its endpoint nodes (the
-    # LabeledGraph constructor checks it, and circle_graph and flip_graph build
-    # it so), so the node moments are all the critical values
+    # LabeledGraph constructor checks it, and circle_graph builds it so), so
+    # the node moments are all the critical values
     critical: list[Fraction] = []
     node_rank = [0] * len(g.nodes)
     for i in sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].moment):

@@ -69,7 +69,11 @@ def _read_text(path: str, stdin) -> str:
     if path == "-":
         raw = getattr(stdin, "buffer", None)
         return raw.read().decode("utf-8") if raw is not None else stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except ValueError as exc:  # an embedded NUL byte: no such file can exist
+        raise OSError(f"cannot open {path!r}: {exc}") from exc
+    with fh:
         return fh.read()
 
 

@@ -29,28 +29,27 @@ class TooFewVerticesError(DelzantError):
     code = "too_few_vertices"
 
 
-class RepeatedVertexError(DelzantError):
-    code = "repeated_vertex"
+class _IndexedError(DelzantError):
+    """An error at vertex ``index`` of the input; ``_what`` names it."""
 
     def __init__(self, index: int):
         self.index = index
-        super().__init__(f"repeated vertex at index {index}")
+        super().__init__(f"{self._what} at index {index}")
+
+    def __reduce__(self):  # pickle rebuilds from the index, not from the message
+        return type(self), (self.index,)
 
 
-class CollinearVerticesError(DelzantError):
-    code = "collinear_vertices"
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"collinear vertices at index {index}")
+class RepeatedVertexError(_IndexedError):
+    code, _what = "repeated_vertex", "repeated vertex"
 
 
-class NonConvexError(DelzantError):
-    code = "non_convex"
+class CollinearVerticesError(_IndexedError):
+    code, _what = "collinear_vertices", "collinear vertices"
 
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"non-convex corner at index {index}")
+
+class NonConvexError(_IndexedError):
+    code, _what = "non_convex", "non-convex corner"
 
 
 class NotDelzantError(DelzantError):

@@ -135,7 +135,6 @@ def standard_trapezoid(params: HirzebruchParams) -> Polygon:
     ))
 
 
-_SWAP_XY = UnimodularAffine(((0, 1), (1, 0)))
 _STANDARD_BASIS = (IntVec2(1, 0), IntVec2(0, 1))
 
 
@@ -158,9 +157,10 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
     apply_map(poly, T) == standard_trapezoid(params), with no check: T
     turns u_r and u_{r+1} into the standard basis and vertex r+1 into the
     origin, so the left side and the bottom run along the axes, and equal
-    lattice lengths then put every vertex on its corner; the m = 0 swap
-    exchanges the axes.  The round-trip and reference tests keep this
-    lemma.
+    lattice lengths then put every vertex on its corner.  The m = 0 swap
+    reverses the rows of the linear part before the translation is read
+    off, which exchanges the axes.  The round-trip and reference tests
+    keep this lemma.
     """
     if len(poly) != 4:
         raise EdgeCountError(f"expected a quadrilateral, got {len(poly)} edges")
@@ -175,16 +175,13 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
     # an already-standard polygon fixed
     r = next((r for r in standard if (u[r], u[r + 1]) == _STANDARD_BASIS), standard[0])
 
-    upright = ((u[r].x, u[r].y), (u[r + 1].x, u[r + 1].y))
-    witness = UnimodularAffine(upright, -mat_vec(upright, poly.vertices[(r + 1) % 4]))
     lengths = [e.lattice_length for e in edge_data(poly) * 2]
     b, bottom, top = lengths[r], lengths[r + 1], lengths[r + 3]
     params = HirzebruchParams((bottom + top) / 2, b, -det2(u[r], u[r + 2]))
-
+    upright = ((u[r].x, u[r].y), (u[r + 1].x, u[r + 1].y))
     if not params.is_canonical:
-        params = params.canonical()
-        witness = _SWAP_XY.compose(witness)
-    return params, witness
+        params, upright = params.canonical(), upright[::-1]
+    return params, UnimodularAffine(upright, -mat_vec(upright, poly.vertices[(r + 1) % 4]))
 
 
 def parity_reduce(params: HirzebruchParams) -> HirzebruchParams:
@@ -236,15 +233,35 @@ def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[M
     quadratic.  The second columns are the first columns of the form with
     its axes swapped, and d takes only the values a of a first column:
     the inverse det(M) ((d, -b), (-c, a)) is an automorphism too, so
-    +-(d, -c) is a first column.  So the cost is one O(bound) scan plus
-    one root computation per first column.  det(M)^2 det Q = det Q gives
+    +-(d, -c) is a first column.  So the cost is one scan of a plus one
+    root computation per first column.  det(M)^2 det Q = det Q gives
     det M = +-1 for free.
+
+    When the group is finite, the scan stops at |a| <= min(bound, A), so
+    its length does not grow with the bound.  With s = q11 c + q01 a, a
+    first column has s^2 + det(Q) a^2 = q11 Q(a, c) = q00 q11 = N.  For
+    det Q > 0, det(Q) a^2 <= N: A = isqrt(N // det Q).  For -det Q = k^2,
+    k > 0, and N != 0, (s - k a)(s + k a) = N, and two nonzero integers
+    with product N differ by at most |N| + 1: A = (|N| + 1) // (2k).  For
+    N = 0, q11 = 0 gives a (q00 a + 2 q01 c) = q00 and q00 = 0 gives
+    c (2 q01 a + q11 c) = 0, so a divides the other diagonal entry or the
+    column is (+-1, 0) or (0, +-1): A = max(1, |q00|, |q11|).  Any other
+    form has -det Q > 0 and not a square, and an infinite group, so the
+    scan runs to the bound.
     """
     q = (form if isinstance(form, IntersectionForm) else IntersectionForm(form)).matrix
     if not is_int(bound) or bound < 1:
         raise InvalidParamsError(f"bound must be a positive integer, got {bound!r}")
     (q00, q01), (_, q11) = q
-    firsts = [(a, c) for a in range(-bound, bound + 1) for c in _first_column_entries(q, a, bound)]
+    det, n = q00 * q11 - q01 * q01, q00 * q11
+    k = math.isqrt(max(-det, 0))
+    if det > 0:
+        limit = min(bound, math.isqrt(n // det))
+    elif k * k == -det:
+        limit = min(bound, (abs(n) + 1) // (2 * k) if n else max(1, abs(q00), abs(q11)))
+    else:
+        limit = bound
+    firsts = [(a, c) for a in range(-limit, limit + 1) for c in _first_column_entries(q, a, bound)]
     swapped = ((q11, q01), (q01, q00))
     seconds = [
         (b, d) for d in {a for a, _ in firsts}

@@ -6,7 +6,9 @@ Conventions shared by every payload:
     digits, q > 0; see ``lattice.as_rational``), never JSON floats;
   * integer lattice data (normals, weights, matrix entries, m, k, genus)
     are JSON integers;
-  * the emitted JSON re-parses to the original value exactly.
+  * every emitted rational re-parses to the same ``Fraction``, and the
+    payloads the CLI reads (polygon, manifold, graph, fixed data) decode
+    as the schemas below show.
 
 Schemas:
 
@@ -30,9 +32,6 @@ one of two messages:
 
   "<what> must be an object with 'key', ..."   (a non-object, or a missing key)
   "<what> must be a list" or "... a list of <n> entries"
-
-The affine map's linear part, which must be "a 2x2 integer matrix", is
-the one exception.
 
 Decoding a graph builds it through the public constructors of the graph
 types, which check every value.  Each moment text is parsed once per
@@ -139,32 +138,8 @@ def affine_to_json(t: UnimodularAffine) -> dict:
     }
 
 
-def affine_from_json(data) -> UnimodularAffine:
-    lin = _object_from_json(data, "affine map", "linear", "translation")["linear"]
-    if not (isinstance(lin, list) and len(lin) == 2
-            and all(isinstance(r, list) and len(r) == 2 for r in lin)):
-        raise FormatError("'linear' must be a 2x2 integer matrix")
-    rows = tuple(tuple(_int_from_json(e, "matrix entry") for e in r) for r in lin)
-    return UnimodularAffine(rows, point_from_json(data["translation"]))
-
-
 def params_to_json(p: HirzebruchParams) -> dict:
     return {"a": rational_to_json(p.a), "b": rational_to_json(p.b), "m": p.m}
-
-
-def params_from_json(data) -> HirzebruchParams:
-    _object_from_json(data, "parameters", "a", "b", "m")
-    return HirzebruchParams(
-        rational_from_json(data["a"]),
-        rational_from_json(data["b"]),
-        _int_from_json(data["m"], "'m'"),
-    )
-
-
-def manifold_to_json(m: ManifoldClass) -> dict:
-    if isinstance(m, SphereProduct):
-        return {"type": "s2xs2", "a": rational_to_json(m.a), "b": rational_to_json(m.b)}
-    return {"type": "blowup_cp2", "l": rational_to_json(m.l), "e": rational_to_json(m.e)}
 
 
 def manifold_from_json(data) -> ManifoldClass:
@@ -243,16 +218,6 @@ def graph_from_json(data) -> LabeledGraph:
             )
         )
     return LabeledGraph(tuple(nodes), tuple(edges))
-
-
-def fixed_data_to_json(data: FixedPointData) -> dict:
-    out = []
-    for c in data.components:
-        if isinstance(c, IsolatedFixed):
-            out.append({"type": "isolated", "index": c.index})
-        else:
-            out.append({"type": "surface", "index": c.index, "genus": c.genus})
-    return {"components": out}
 
 
 def fixed_data_from_json(data) -> FixedPointData:

@@ -146,9 +146,10 @@ def test_form_autos():
 
 
 def test_form_autos_large_bound_is_fast():
+    # both forms have a finite group, so the scan stops short of the bound
     for form in ("hyperbolic", "blowup"):
         start = time.perf_counter()
-        code, out, _ = invoke(["form-autos", "--form", form, "--bound", "1000"])
+        code, out, _ = invoke(["form-autos", "--form", form, "--bound", "1000000000000"])
         assert time.perf_counter() - start < 1
         assert code == 0
         assert out == invoke(["form-autos", "--form", form, "--bound", "3"])[1]
@@ -183,9 +184,12 @@ def test_non_primitive_direction_rejected(tmp_path):
 
 
 def test_missing_file_is_io_error():
-    code, _, err = invoke(["verify", "/nonexistent/poly.json"])
-    assert code == 1
-    assert json.loads(err)["error"] == "io_error"
+    # a path holding a NUL byte names no file either; only an in-process
+    # caller can pass one, as a child process cannot receive it
+    for path in ("/nonexistent/poly.json", "a\0b"):
+        code, out, err = invoke(["verify", path])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "io_error"
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,7 @@
 """The package's two lists of public names, its imports and ``__all__``,
-stay in step, its modules hold no unused import or private name, and the
-names the README lists as removed stay gone."""
+stay in step, its modules hold no unused import or private name, every
+public name has a caller outside the tests, and the names the README
+lists as removed stay gone."""
 
 import ast
 import importlib
@@ -35,6 +36,18 @@ def _references(tree: ast.Module) -> set[str]:
     return names
 
 
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and assigned names a module defines."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
 def test_modules_use_every_import_and_every_private_name():
     """A stdlib stand-in for a linter's dead-code checks: each module other
     than ``__init__`` reads every name it imports, and each private
@@ -56,19 +69,27 @@ def test_modules_use_every_import_and_every_private_name():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unused.append(f"{module}: {name}")
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                defined = []
-            unreferenced += [f"{module}: {name}" for name in defined
-                             if name.startswith("_") and not name.startswith("__")
-                             and name not in referenced]
+        unreferenced += [f"{module}: {name}" for name in _top_level_names(tree)
+                         if name.startswith("_") and not name.startswith("__")
+                         and name not in referenced]
     assert unused == []
     assert unreferenced == []
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level name of a module other than ``__init__`` is
+    read (a name, an attribute or a ``from`` import) in a module of the
+    package other than ``__init__``, its own included, a demo, the
+    benchmark harness or a test oracle.  The tests alone keep no name."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    modules = sorted(p for p in (root / "src" / "delzant").glob("*.py") if p.stem != "__init__")
+    callers = [*modules, *sorted(root.glob("demos/*.py")), *sorted(root.glob("perfbench/*.py")),
+               *sorted(root.glob("tests/reference_*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in callers}
+    read = set().union(*map(_references, trees.values()))
+    uncalled = [f"{path.stem}.{name}" for path in modules for name in _top_level_names(trees[path])
+                if not name.startswith("_") and name not in read]
+    assert uncalled == []
 
 
 # every dotted name in the README's "Removed names" section, as written there
@@ -88,6 +109,10 @@ REMOVED_NAMES = [
     "UnimodularAffine.identity",
     "UnimodularAffine.invert",
     "delzant.jsonio.node_to_json",
+    "delzant.jsonio.affine_from_json",
+    "delzant.jsonio.params_from_json",
+    "delzant.jsonio.manifold_to_json",
+    "delzant.jsonio.fixed_data_to_json",
 ]
 
 

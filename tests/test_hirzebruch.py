@@ -248,6 +248,33 @@ def test_form_automorphisms_agree_with_reference_scan():
     assert richer > 0
 
 
+def test_form_automorphisms_with_a_finite_group_match_a_full_column_scan():
+    # the scan over a stops at A for these forms; the oracle pairs every
+    # primitive column in [-R, R]^2 with Q(v) = q00 and Q(w) = q11
+    R = 30
+
+    def columns(q00, q01, q11, value):
+        return [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)
+                if q00 * x * x + 2 * q01 * x * y + q11 * y * y == value and math.gcd(x, y) == 1]
+
+    rng, forms, cases = Random(707), [], set()
+    while len(forms) < 60 or len(cases) < 4:  # the docstring's four cases of A
+        q00, q01, q11 = (rng.randint(-12, 12) for _ in range(3))
+        det = q00 * q11 - q01 * q01
+        if det > 0:
+            cases.add("definite")
+        elif det < 0 and math.isqrt(-det) ** 2 == -det:
+            cases.add("q11 = 0" if q11 == 0 else "q00 = 0" if q00 == 0 else "isotropic")
+        else:
+            continue
+        forms.append((q00, q01, q11))
+    for q00, q01, q11 in forms:
+        firsts, seconds = columns(q00, q01, q11, q00), columns(q00, q01, q11, q11)
+        expected = sorted(((a, b), (c, d)) for a, c in firsts for b, d in seconds
+                          if a * (q00 * b + q01 * d) + c * (q01 * b + q11 * d) == q01)
+        assert list(form_automorphisms(((q00, q01), (q01, q11)), R)) == expected, (q00, q01, q11)
+
+
 def test_same_symplectic_class():
     assert same_symplectic_class(SphereProduct(2, 1), SphereProduct(2, 1))
     assert not same_symplectic_class(SphereProduct(2, 1), SphereProduct(3, 1))

@@ -55,31 +55,30 @@ def test_polygon_round_trip():
 
 
 def test_affine_round_trip():
+    # the CLI prints affine maps and never reads them; the constructor does
     t = UnimodularAffine(((1, 1), (0, 1)), RatVec2(Fraction(1, 2), -3))
-    data = jsonio.affine_to_json(t)
-    assert jsonio.affine_from_json(json.loads(json.dumps(data))) == t
-    with pytest.raises(FormatError):
-        jsonio.affine_from_json({"linear": [[1.0, 0], [0, 1]], "translation": ["0", "0"]})
-    with pytest.raises(FormatError, match="'linear' must be a 2x2 integer matrix"):
-        jsonio.affine_from_json({"linear": [1, 2], "translation": ["0", "0"]})
+    data = json.loads(json.dumps(jsonio.affine_to_json(t)))
+    assert data == {"linear": [[1, 1], [0, 1]], "translation": ["1/2", "-3"]}
+    assert UnimodularAffine(data["linear"], data["translation"]) == t
 
 
 def test_params_round_trip():
     p = HirzebruchParams(Fraction(5, 2), 1, 2)
     data = jsonio.params_to_json(p)
     assert data == {"a": "5/2", "b": "1", "m": 2}
-    assert jsonio.params_from_json(data) == p
+    assert HirzebruchParams(data["a"], data["b"], data["m"]) == p
 
 
 def test_manifold_round_trip():
-    for m in (SphereProduct(Fraction(5, 2), 1), BlowUp(3, 2)):
-        assert jsonio.manifold_from_json(jsonio.manifold_to_json(m)) == m
-    assert jsonio.manifold_to_json(SphereProduct(Fraction(5, 2), 1)) == {
-        "type": "s2xs2",
-        "a": "5/2",
-        "b": "1",
-    }
-    assert jsonio.manifold_to_json(BlowUp(3, 2)) == {"type": "blowup_cp2", "l": "3", "e": "2"}
+    # the CLI reads manifolds and never prints them; a dict literal does
+    m = SphereProduct(Fraction(5, 2), 1)
+    data = {"type": "s2xs2", "a": str(m.a), "b": str(m.b)}
+    assert data == {"type": "s2xs2", "a": "5/2", "b": "1"}
+    assert jsonio.manifold_from_json(data) == m
+    m = BlowUp(3, 2)
+    data = {"type": "blowup_cp2", "l": str(m.l), "e": str(m.e)}
+    assert data == {"type": "blowup_cp2", "l": "3", "e": "2"}
+    assert jsonio.manifold_from_json(data) == m
     with pytest.raises(FormatError):
         jsonio.manifold_from_json({"type": "unknown"})
 
@@ -107,8 +106,14 @@ def test_decoded_graph_compares_moments_by_value_not_by_text():
 
 
 def test_fixed_data_round_trip():
+    # the CLI reads fixed-point data and never prints it; a dict literal does
     data = FixedPointData((SurfaceFixed(0, 0), IsolatedFixed(2), IsolatedFixed(4)))
-    encoded = jsonio.fixed_data_to_json(data)
+    encoded = {"components": [
+        {"type": "isolated", "index": c.index} if isinstance(c, IsolatedFixed)
+        else {"type": "surface", "index": c.index, "genus": c.genus}
+        for c in data.components
+    ]}
+    assert encoded["components"][0] == {"type": "surface", "index": 0, "genus": 0}
     assert jsonio.fixed_data_from_json(json.loads(json.dumps(encoded))) == data
 
 
@@ -193,9 +198,6 @@ def _malformed(value, path="$", variable=False):
         pytest.param(jsonio.point_from_json, ["1/2", "3"], id="point"),
         pytest.param(jsonio.polygon_from_json,
                      {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}, id="polygon"),
-        pytest.param(jsonio.affine_from_json,
-                     {"linear": [[1, 1], [0, 1]], "translation": ["1/2", "0"]}, id="affine"),
-        pytest.param(jsonio.params_from_json, {"a": "5/2", "b": "1", "m": 2}, id="params"),
         pytest.param(jsonio.manifold_from_json, {"type": "s2xs2", "a": "5/2", "b": "1"},
                      id="manifold-s2xs2"),
         pytest.param(jsonio.manifold_from_json, {"type": "blowup_cp2", "l": "3", "e": "2"},

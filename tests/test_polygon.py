@@ -1,5 +1,6 @@
 """Polygon construction, Delzant verification, and congruence."""
 
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -58,6 +59,18 @@ def test_construction_errors():
         make_polygon([(0, 0), (1, 0), (1, 1), (0, 0)])
     with pytest.raises(NonConvexError):
         make_polygon([(0, 0), (2, 0), (2, 2), (1, 1), (0, 2)])
+
+
+@pytest.mark.parametrize("points,error,message", [
+    ([(0, 0), (1, 0), (1, 1), (1, 1)], RepeatedVertexError, "repeated vertex at index 3"),
+    ([(0, 0), (1, 0), (2, 0), (2, 1)], CollinearVerticesError, "collinear vertices at index 1"),
+    ([(0, 0), (2, 0), (2, 2), (1, 1), (0, 2)], NonConvexError, "non-convex corner at index 3"),
+], ids=["repeated", "collinear", "non-convex"])
+def test_indexed_errors_survive_a_pickle_round_trip(points, error, message):
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        make_polygon(points)
+    twin = pickle.loads(pickle.dumps(exc.value))
+    assert type(twin) is error and twin.index == exc.value.index and twin.args == (message,)
 
 
 # every turn has one sign, yet the boundary winds twice; the error names the

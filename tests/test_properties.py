@@ -190,7 +190,7 @@ def _rebuilt(g: LabeledGraph) -> LabeledGraph:
 
 @given(corner_cut_polygons())
 def test_built_graphs_pass_the_constructor_checks(poly):
-    # circle_graph and flip_graph store their values unchecked
+    # circle_graph stores its values unchecked; flip_graph builds through the checks
     for xi in DIRECTIONS:
         g = circle_graph(poly, xi)
         for h in (g, flip_graph(g)):
