@@ -42,7 +42,7 @@ from .lattice import (
     IntVec2, Mat2, RatVec2, UnimodularAffine, _Value, _as_mat2, as_rational, det2, is_int,
     mat_vec,
 )
-from .polygon import Polygon, edge_data, is_delzant, make_polygon
+from .polygon import Polygon, _from_edges, edge_data, is_delzant
 
 
 class HirzebruchParams(_Value):
@@ -58,9 +58,9 @@ class HirzebruchParams(_Value):
         a, b = as_rational(a), as_rational(b)
         if not is_int(m) or m < 0:
             raise InvalidParamsError(f"m must be a nonnegative integer, got {m!r}")
-        if a <= 0 or b <= 0:
+        if a.numerator <= 0 or b.numerator <= 0:
             raise InvalidParamsError(f"need a, b > 0, got a={a}, b={b}")
-        if not a > Fraction(m, 2) * b:
+        if 2 * a.numerator * b.denominator <= m * b.numerator * a.denominator:
             raise InvalidParamsError(f"need average width a > (m/2) b, got a={a}, b={b}, m={m}")
         self.__dict__.update(a=a, b=b, m=m)
 
@@ -81,9 +81,9 @@ class SphereProduct(_Value):
 
     def __init__(self, a: Fraction, b: Fraction):
         a, b = as_rational(a), as_rational(b)
-        if a <= 0 or b <= 0:
+        if a.numerator <= 0 or b.numerator <= 0:
             raise InvalidParamsError(f"need a, b > 0, got a={a}, b={b}")
-        if a < b:
+        if a.numerator * b.denominator < b.numerator * a.denominator:
             a, b = b, a
         self.__dict__.update(a=a, b=b)
 
@@ -95,7 +95,7 @@ class BlowUp(_Value):
 
     def __init__(self, l: Fraction, e: Fraction):
         l, e = as_rational(l), as_rational(e)
-        if not l > e > 0:
+        if not (e.numerator > 0 and l.numerator * e.denominator > e.numerator * l.denominator):
             raise InvalidParamsError(f"need l > e > 0, got l={l}, e={e}")
         self.__dict__.update(l=l, e=e)
 
@@ -126,13 +126,12 @@ BLOWUP_FORM = IntersectionForm(((1, 0), (0, -1)))
 
 
 def standard_trapezoid(params: HirzebruchParams) -> Polygon:
-    half = Fraction(params.m, 2) * params.b
-    return make_polygon((
-        RatVec2(Fraction(0), Fraction(0)),
-        RatVec2(params.a + half, Fraction(0)),
-        RatVec2(params.a - half, params.b),
-        RatVec2(Fraction(0), params.b),
-    ))
+    a, b, m = params.a, params.b, params.m
+    half, zero = Fraction(m, 2) * b, Fraction(0)
+    return _from_edges(
+        (RatVec2(zero, zero), RatVec2(a + half, zero), RatVec2(a - half, b), RatVec2(zero, b)),
+        [(1, 0, a + half), (-m, 1, b), (-1, 0, a - half), (0, -1, b)],
+    )
 
 
 _STANDARD_BASIS = (IntVec2(1, 0), IntVec2(0, 1))
@@ -192,16 +191,20 @@ def parity_reduce(params: HirzebruchParams) -> HirzebruchParams:
 def manifold_of(params: HirzebruchParams) -> ManifoldClass:
     if params.m % 2 == 0:
         return SphereProduct(params.a, params.b)
-    return BlowUp(params.a + params.b / 2, params.a - params.b / 2)
+    (p, q), (r, s) = params.a.as_integer_ratio(), params.b.as_integer_ratio()
+    return BlowUp(Fraction(2 * p * s + r * q, 2 * q * s), Fraction(2 * p * s - r * q, 2 * q * s))
 
 
-def _trapezoid_data(manifold: ManifoldClass) -> tuple[Fraction, Fraction, Fraction, int]:
-    """(a, b, ratio, parity): the trapezoids over the manifold are
-    (a, b, 2k + parity) for the integers 0 <= k < ratio."""
+def _trapezoid_data(manifold: ManifoldClass) -> tuple[Fraction, Fraction, int, int]:
+    """(a, b, count, parity): the trapezoids over the manifold are (a, b, 2k + parity)
+    for the integers 0 <= k < count = ceil(a/b - parity/2): ceil(a/b) or ceil(e/(l-e))."""
     if isinstance(manifold, SphereProduct):
-        return manifold.a, manifold.b, manifold.a / manifold.b, 0
-    b = manifold.l - manifold.e
-    return (manifold.l + manifold.e) / 2, b, manifold.e / b, 1
+        a, b, parity = manifold.a, manifold.b, 0
+    else:
+        a, b, parity = (manifold.l + manifold.e) / 2, manifold.l - manifold.e, 1
+    # count = ceil((2 p s - parity r q) / (2 q r)) for a = p/q and b = r/s
+    (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+    return a, b, -((parity * r * q - 2 * p * s) // (2 * q * r)), parity
 
 
 def enumerate_tori(manifold: ManifoldClass) -> tuple[HirzebruchParams, ...]:
@@ -212,13 +215,13 @@ def enumerate_tori(manifold: ManifoldClass) -> tuple[HirzebruchParams, ...]:
     0 <= k < e/(l-e) for the blow-up.  For k >= 0, k < ratio exactly
     when k < ceil(ratio), so there are ``count_tori`` entries.
     """
-    a, b, _, parity = _trapezoid_data(manifold)
-    return tuple(HirzebruchParams(a, b, 2 * k + parity) for k in range(count_tori(manifold)))
+    a, b, count, parity = _trapezoid_data(manifold)
+    return tuple(HirzebruchParams(a, b, 2 * k + parity) for k in range(count))
 
 
 def count_tori(manifold: ManifoldClass) -> int:
     """Number of conjugacy classes of maximal tori, by the ceiling formula."""
-    return math.ceil(_trapezoid_data(manifold)[2])
+    return _trapezoid_data(manifold)[2]
 
 
 def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[Mat2, ...]:

@@ -14,6 +14,8 @@ reads convexity and orientation off the signs of det(d_i, d_{i+1}) and
 the number of times the directions turn round, which must be one.  Such a
 boundary is simple, so no vertex is hashed: a repeated vertex is sought
 only on the way to another error, and replaces that error when found.
+``apply_map`` and ``standard_trapezoid`` build valid polygons from their
+integer edge data through the constructor's last step alone.
 
 The polygon is Delzant when consecutive primitive inward normals satisfy
 det(u_i, u_{i+1}) = 1 cyclically, i.e. every pair of adjacent normals is
@@ -103,35 +105,43 @@ class Polygon(_Value):
         turns = [a * d - b * c for (a, b, _), (c, d, _) in zip(edges, edges[1:] + edges[:1])]
         if 0 in turns:
             raise _repeat_error(given) or CollinearVerticesError((turns.index(0) + 1) % n)
-        input_reversed = max(turns) < 0
-        if input_reversed:
-            pts = pts[::-1]
-            # reversed edge j runs backwards along input edge n - 2 - j
-            edges = [(-dx, -dy, length) for dx, dy, length in edges[-2::-1] + edges[-1:]]
-        elif min(turns) < 0:
+        if min(turns) < 0 < max(turns):
             majority_ccw = sum(1 for turn in turns if turn > 0) * 2 >= n
             bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
             raise _repeat_error(given) or NonConvexError((bad + 1) % n)
+        extra = self._fill(pts, edges, max(turns) < 0)
+        if extra is not None:
+            raise _repeat_error(given) or NonConvexError(given.index(extra))
 
-        # d is leftward when (d.x, d.y) < (0, 0); the least vertex is entered by a
-        # leftward edge and exited by one that is not, and each further such
-        # vertex is one more turn of a boundary that winds more than once
+    def _fill(self, pts, edges, reverse: bool) -> RatVec2 | None:
+        """Store points and their edges (dx, dy, length), reversed first if
+        ``reverse``, from the least vertex: the one entered by a leftward edge,
+        (dx, dy) < (0, 0), and left by one that is not.  A boundary that winds
+        more than once has further such vertices; return the first, or None."""
+        if reverse:
+            pts = pts[::-1]
+            # reversed edge j runs backwards along input edge n - 2 - j
+            edges = [(-dx, -dy, length) for dx, dy, length in edges[-2::-1] + edges[-1:]]
         leftward = [(dx, dy) < (0, 0) for dx, dy, _ in edges]
-        start, *others = [i for i in range(n) if leftward[i - 1] and not leftward[i]]
-        if others:
-            raise _repeat_error(given) or NonConvexError(given.index(pts[others[0]]))
+        start, *others = [i for i in range(len(pts)) if leftward[i - 1] and not leftward[i]]
         edges = edges[start:] + edges[:start]
         self.__dict__.update(
             vertices=pts[start:] + pts[:start],
-            input_reversed=input_reversed,
-            _edges=tuple(
-                EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
-                for i, (dx, dy, length) in enumerate(edges)
-            ),
+            input_reversed=reverse,
+            _edges=tuple(EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
+                         for i, (dx, dy, length) in enumerate(edges)),
         )
+        return pts[others[0]] if others else None
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _from_edges(pts, edges, reverse: bool = False) -> Polygon:
+    """The polygon on points and their edges (dx, dy, length), valid by construction, unchecked."""
+    poly = object.__new__(Polygon)
+    poly._fill(pts, edges, reverse)
+    return poly
 
 
 def _as_point(p) -> RatVec2:
@@ -192,8 +202,13 @@ def is_delzant(poly: Polygon) -> DelzantReport:
 
 
 def apply_map(poly: Polygon, transform: UnimodularAffine) -> Polygon:
-    """Image polygon, renormalized to counterclockwise canonical form."""
-    return Polygon(tuple(transform.apply(p) for p in poly.vertices))
+    """Image polygon, renormalized to counterclockwise canonical form, built
+    unchecked from the edges R d_i (same lengths; reversed if det R = -1)."""
+    (r00, r01), (r10, r11) = transform.linear
+    edges = [(r00 * e.direction.x + r01 * e.direction.y,
+              r10 * e.direction.x + r11 * e.direction.y, e.lattice_length) for e in edge_data(poly)]
+    pts = tuple(transform.apply(p) for p in poly.vertices)
+    return _from_edges(pts, edges, r00 * r11 - r01 * r10 < 0)
 
 
 def _invariant_word(poly: Polygon) -> list:

@@ -176,6 +176,13 @@ def test_malformed_json_and_rational_errors(tmp_path):
     assert json.loads(err)["error"] == "bad_format"
 
 
+def test_invalid_params_message_is_unchanged():
+    code, out, err = invoke(["standard", "--a", "3", "--b", "2", "--m", "3"])
+    assert code == 1 and out == ""
+    assert err == ('{"error": "invalid_params", '
+                   '"detail": "need average width a > (m/2) b, got a=3, b=2, m=3"}\n')
+
+
 def test_non_primitive_direction_rejected(tmp_path):
     path = write(tmp_path, "sq.json", SQUARE)
     code, _, err = invoke(["graph", path, "--xi", "0,2"])

@@ -1,18 +1,21 @@
 """The CLI contract under fuzzed JSON input, in process: each JSON text
-the command line reads (a polygon on stdin, ``count-tori --manifold``
-and ``betti --fixed-data``) is a valid payload or one with a single
-edit, and every run exits 0 or 1, with one JSON error object that is not
-``internal_error`` on exit 1 and never a traceback.
+the command line reads (a polygon on stdin, ``count-tori --manifold``,
+``enumerate-tori --manifold`` and ``betti --fixed-data``) is a valid
+payload or one with a single edit, and every run exits 0 or 1, with one
+JSON error object that is not ``internal_error`` on exit 1 and never a
+traceback.
 
-``enumerate-tori`` is left out: its work grows with the ratio of the two
-areas, which a fuzzed payload can make as large as it likes.
+The work of ``enumerate-tori`` grows with the ratio of the two areas,
+which a fuzzed payload can make as large as it likes, so it runs only on
+the payloads that ``count-tori`` counts at most ``MAX_ENUMERATED`` tori
+for, or rejects for a reason other than a count too long to print.
 """
 
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delzant.cli import run
@@ -22,6 +25,7 @@ from delzant.cli import run
 LONG_INT = "1" * 4400
 PLACEHOLDER = "\x00long"
 HUGE = "7" * 4000
+MAX_ENUMERATED = 64
 
 POLYGONS = [
     {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
@@ -94,7 +98,8 @@ def calls(draw):
         argv = draw(st.sampled_from(POLYGON_COMMANDS))
         return argv, text_of(draw(edited(draw(st.sampled_from(POLYGONS)))))
     if kind == "manifold":
-        return ["count-tori", "--manifold", text_of(draw(edited(draw(st.sampled_from(MANIFOLDS)))))], ""
+        command = draw(st.sampled_from(["count-tori", "enumerate-tori"]))
+        return [command, "--manifold", text_of(draw(edited(draw(st.sampled_from(MANIFOLDS)))))], ""
     return ["betti", "--fixed-data", text_of(draw(edited(draw(st.sampled_from(FIXED_DATA)))))], ""
 
 
@@ -103,6 +108,12 @@ def calls(draw):
 def test_fuzzed_json_input_keeps_the_cli_contract(square_file, call):
     argv, stdin = call
     argv = [square_file if a == "@square" else a for a in argv]
+    if argv[0] == "enumerate-tori":
+        out, err = io.StringIO(), io.StringIO()
+        if run(["count-tori", *argv[1:]], stdout=out, stderr=err) == 0:
+            assume(int(out.getvalue()) <= MAX_ENUMERATED)
+        else:
+            assume(json.loads(err.getvalue())["error"] != "output_too_large")
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err, stdin=io.StringIO(stdin))
     assert code in (0, 1), (argv, stdin[:200])

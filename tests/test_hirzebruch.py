@@ -6,6 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from delzant import (
     BLOWUP_FORM,
@@ -13,6 +14,7 @@ from delzant import (
     BlowUp,
     HirzebruchParams,
     IntersectionForm,
+    Polygon,
     RatVec2,
     SphereProduct,
     UnimodularAffine,
@@ -33,6 +35,7 @@ from delzant.lattice import mat_vec
 
 from reference_forms import reference_form_automorphisms
 from support import rand_affine, rand_params
+from test_polygon_oracle import cut_corners
 
 
 def test_params_validation():
@@ -101,6 +104,38 @@ def test_classify_slanted_figure_polygon():
     params, _ = classify_quadrilateral(poly)
     assert params == HirzebruchParams(3, 1, 3)
     assert congruent(poly, standard_trapezoid(HirzebruchParams(3, 1, 3))) is not None
+
+
+def test_valid_polygons_are_built_with_no_constructor_call(monkeypatch):
+    """Work counter: ``apply_map`` and ``standard_trapezoid`` build from
+    edge data, so once the input is built, neither they nor the chain
+    classify -> standard_trapezoid -> congruent -> apply_map call
+    ``Polygon.__init__``."""
+    trapezoid = standard_trapezoid(HirzebruchParams(Fraction(5, 2), 1, 3))
+    quad = make_polygon(apply_map(trapezoid, UnimodularAffine(((1, 2), (1, 1)), (3, 0))).vertices)
+    ngon = cut_corners(make_polygon([(0, 0), (81, 0), (81, 81), (0, 81)]), Random(5), 60)
+    maps = [UnimodularAffine(((2, 1), (1, 1)), (1, Fraction(1, 3))),
+            UnimodularAffine(((1, 1), (1, 0)), (0, Fraction(-2, 7)))]
+    calls = 0
+    init = Polygon.__init__
+
+    def counted(self, vertices):
+        nonlocal calls
+        calls += 1
+        init(self, vertices)
+
+    monkeypatch.setattr(Polygon, "__init__", counted)
+    images = [apply_map(poly, t) for poly in (quad, ngon) for t in maps]
+    assert calls == 0 and [p.input_reversed for p in images] == [False, True] * 2
+    std = standard_trapezoid(HirzebruchParams(Fraction(7, 2), Fraction(1, 3), 5))
+    assert calls == 0
+    params, witness = classify_quadrilateral(quad)
+    std = standard_trapezoid(params)
+    found = congruent(quad, std)
+    assert apply_map(quad, found) == std == apply_map(quad, witness)
+    assert calls == 0
+    make_polygon(std.vertices)
+    assert calls == 1  # the counter sees the public constructor
 
 
 def test_parity_reduce():
@@ -311,3 +346,81 @@ def test_count_is_exact_at_integer_ratios():
     assert count_tori(BlowUp(2, 1)) == 1
     assert count_tori(BlowUp(3, 2)) == 2
     assert math.ceil(Fraction(2, 1)) == 2
+
+
+# numerators of either sign and zero, small and over wide denominators
+signed_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**15)),
+)
+
+
+def _outcome(build, *args) -> str:
+    try:
+        return repr(build(*args))
+    except InvalidParamsError as exc:
+        return f"InvalidParamsError: {exc}"
+
+
+def _oracle_params(a, b, m) -> str:
+    """``HirzebruchParams`` as stated, in Fraction arithmetic."""
+    if a <= 0 or b <= 0:
+        return f"InvalidParamsError: need a, b > 0, got a={a}, b={b}"
+    if not a > Fraction(m, 2) * b:
+        return f"InvalidParamsError: need average width a > (m/2) b, got a={a}, b={b}, m={m}"
+    return f"HirzebruchParams(a={a!r}, b={b!r}, m={m!r})"
+
+
+def _oracle_sphere(a, b) -> str:
+    if a <= 0 or b <= 0:
+        return f"InvalidParamsError: need a, b > 0, got a={a}, b={b}"
+    return f"SphereProduct(a={max(a, b)!r}, b={min(a, b)!r})"
+
+
+def _oracle_blowup(l, e) -> str:
+    if not l > e > 0:
+        return f"InvalidParamsError: need l > e > 0, got l={l}, e={e}"
+    return f"BlowUp(l={l!r}, e={e!r})"
+
+
+@given(signed_rationals, signed_rationals, st.integers(0, 9), st.integers(0, 3))
+@example(Fraction(3), Fraction(2), 3, 0)  # a = (m/2) b, as in `delzant standard`
+@example(Fraction(3, 7), Fraction(6, 7), 1, 1)
+@example(Fraction(3, 7), Fraction(6, 7), 1, 2)
+@example(Fraction(0), Fraction(1), 0, 0)  # zero and negative numerators
+@example(Fraction(1), Fraction(0), 0, 0)
+@example(Fraction(-1, 3), Fraction(1), 2, 0)
+@example(Fraction(1), Fraction(-2, 5), 0, 0)
+@example(Fraction(5, 3), Fraction(1), 0, 3)  # l = e
+@example(Fraction(7, 3), Fraction(7, 3), 0, 0)  # a = b: no swap
+@example(Fraction(3, 2), Fraction(3, 2), 1, 0)  # e/(l - e) = 1/2
+def test_int_comparisons_agree_with_fraction_arithmetic(a, b, m, boundary):
+    """The constructors compare numerators and denominators as ints; they
+    accept, reject, swap and word their errors exactly as the Fraction
+    inequalities do, and ``manifold_of``, ``count_tori`` and
+    ``enumerate_tori`` return what the Fraction formulas give.  ``boundary``
+    moves a onto (m/2) b, or just past it, or sets e = l."""
+    if boundary == 1:
+        a = Fraction(m, 2) * b
+    elif boundary == 2:
+        a = Fraction(m, 2) * b + Fraction(1, 10**12)
+    assert _outcome(HirzebruchParams, a, b, m) == _oracle_params(a, b, m)
+    assert _outcome(SphereProduct, a, b) == _oracle_sphere(a, b)
+    e = a if boundary == 3 else b
+    assert _outcome(BlowUp, a, e) == _oracle_blowup(a, e)
+    if _oracle_params(a, b, m).startswith("InvalidParamsError"):
+        return
+    params = HirzebruchParams(a, b, m)
+    manifold = manifold_of(params)
+    if m % 2 == 0:
+        assert repr(manifold) == _oracle_sphere(a, b)
+        a0, b0, ratio, parity = manifold.a, manifold.b, manifold.a / manifold.b, 0
+    else:
+        assert repr(manifold) == _oracle_blowup(a + b / 2, a - b / 2)
+        l, e = manifold.l, manifold.e
+        a0, b0, ratio, parity = (l + e) / 2, l - e, e / (l - e), 1
+    count = count_tori(manifold)
+    assert type(count) is int and count == math.ceil(ratio)
+    if count <= 64:
+        assert enumerate_tori(manifold) == tuple(
+            HirzebruchParams(a0, b0, 2 * k + parity) for k in range(count))

@@ -4,7 +4,7 @@
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from delzant import (
     BlowUp,
@@ -12,6 +12,7 @@ from delzant import (
     HirzebruchParams,
     IsolatedPoint,
     LabeledGraph,
+    Polygon,
     RatVec2,
     SphereProduct,
     UnimodularAffine,
@@ -58,13 +59,19 @@ def unimodular_affines(draw):
 
 
 @st.composite
-def convex_polygons(draw):
+def hull_polygons(draw):
+    """The convex hull of random points, in either orientation: seldom Delzant."""
     points = draw(st.lists(st.tuples(rationals, rationals), min_size=3, max_size=12))
     hull = convex_hull(points)
     assume(len(hull) >= 3)
     if draw(st.booleans()):
         hull = hull[::-1]
-    return apply_map(make_polygon(hull), draw(unimodular_affines()))
+    return make_polygon(hull)
+
+
+@st.composite
+def convex_polygons(draw):
+    return apply_map(draw(hull_polygons()), draw(unimodular_affines()))
 
 
 @st.composite
@@ -78,11 +85,19 @@ def canonical_params(draw):
 
 
 @st.composite
-def corner_cut_polygons(draw):
-    """A standard trapezoid with up to eight corners cut by toric blow-ups,
-    under a random lattice map: a Delzant polygon."""
+def valid_params(draw):
+    """Any valid parameters, non-canonical rectangles included."""
+    m = draw(st.integers(0, 8))
+    b = draw(st.one_of(positive, wide_rationals.filter(lambda q: q > 0)))
+    return HirzebruchParams(Fraction(m, 2) * b + draw(positive), b, m)
+
+
+@st.composite
+def corner_cut_polygons(draw, cuts=8):
+    """A standard trapezoid with up to ``cuts`` corners cut by toric
+    blow-ups, under a random lattice map: a Delzant polygon."""
     poly = standard_trapezoid(draw(canonical_params()))
-    poly = cut_corners(poly, draw(st.randoms(use_true_random=False)), draw(st.integers(0, 8)))
+    poly = cut_corners(poly, draw(st.randoms(use_true_random=False)), draw(st.integers(0, cuts)))
     return apply_map(poly, draw(unimodular_affines()))
 
 
@@ -196,3 +211,37 @@ def test_built_graphs_pass_the_constructor_checks(poly):
         for h in (g, flip_graph(g)):
             rebuilt = _rebuilt(h)
             assert rebuilt == h and repr(rebuilt) == repr(h), xi
+
+
+def _assert_constructed(built: Polygon, constructed: Polygon):
+    """A polygon built from edge data, unchecked, is the one the public
+    constructor makes: the same vertices, start, orientation flag and edge
+    data, down to the types (``repr`` tells a Fraction length from an int)."""
+    assert repr(built) == repr(constructed)
+    assert repr(edge_data(built)) == repr(edge_data(constructed))
+    assert built.input_reversed == constructed.input_reversed
+    rebuilt = Polygon(built.vertices)
+    assert rebuilt.vertices == built.vertices and not rebuilt.input_reversed
+    assert repr(edge_data(rebuilt)) == repr(edge_data(built))
+
+
+@settings(max_examples=300)
+@given(st.one_of(hull_polygons(), corner_cut_polygons(cuts=60)),
+       unimodular_affines(), unimodular_affines())
+def test_apply_map_builds_what_the_constructor_builds(poly, t1, t2):
+    """``apply_map`` maps the edge data instead of the vertices' differences.
+    Its image is the polygon the constructor makes of the mapped vertices,
+    under maps of either determinant sign; the second map acts on an image
+    whose ``input_reversed`` is set whenever the first map reversed it.
+    The inputs are Delzant corner-cut n-gons with n up to 64 and random
+    hulls, which are seldom Delzant."""
+    image = apply_map(poly, t1)
+    _assert_constructed(image, Polygon(tuple(t1.apply(p) for p in poly.vertices)))
+    again = apply_map(image, t2)
+    _assert_constructed(again, Polygon(tuple(t2.apply(p) for p in image.vertices)))
+
+
+@given(valid_params())
+def test_standard_trapezoid_builds_what_the_constructor_builds(params):
+    std = standard_trapezoid(params)
+    _assert_constructed(std, Polygon(std.vertices))
