@@ -179,10 +179,10 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     vertex is skipped.  Any other vertex i is an isolated point whose
     weights are the adjacent speeds (s_i, -s_{i-1}).
 
-    Each vertex moment is one ``Fraction`` of an integer numerator and
-    denominator, and moments are compared as integer cross products.  On
-    a strictly convex boundary the speeds are positive on one cyclic run
-    of edges, which starts at the minimum vertex (the i with
+    Vertex i, stored as the triple (x, y, d), has the moment
+    <xi, (x, y)> / d, and moments are compared as integer cross products.
+    On a strictly convex boundary the speeds are positive on one cyclic
+    run of edges, which starts at the minimum vertex (the i with
     s_{i-1} <= 0 < s_i, so the head of a bottom level edge).  Walking
     forwards from it along that run, and backwards from the vertex before
     it, gives two chains that rise strictly to the top, so one merge on
@@ -205,12 +205,9 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     edges = edge_data(poly)
     n = len(edges)
     speeds = [xi.dot(e.direction) for e in edges]
-    # vertex i has moment num[i] / den[i], with den[i] > 0, not reduced
-    num, den = [], []
-    for p in poly.vertices:
-        d, e = p.x.denominator, p.y.denominator
-        num.append(xi.x * p.x.numerator * e + xi.y * p.y.numerator * d)
-        den.append(d * e)
+    # vertex i = (x/d, y/d) has moment num[i] / den[i] = <xi, (x, y)> / d, not reduced
+    num = [xi.x * x + xi.y * y for x, y, _ in poly._pts]
+    den = [d for _, _, d in poly._pts]
 
     def below(i: int, j: int) -> bool:  # vertex i comes before vertex j
         diff = num[i] * den[j] - num[j] * den[i]
@@ -242,14 +239,14 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
         prev = i
         node_of_vertex[i] = len(nodes)
         moment = Fraction(num[i], den[i])
+        node = new(FatVertex if speeds[i] == 0 else IsolatedPoint)
         if speeds[i] == 0:
             node_of_vertex[(i + 1) % n] = len(nodes)
-            nodes.append(new(FatVertex)._store(moment=moment, area=edges[i].lattice_length,
-                                               genus=0))
+            node.__dict__.update(moment=moment, area=edges[i].lattice_length, genus=0)
         else:
             s, t = speeds[i], -speeds[i - 1]
-            nodes.append(new(IsolatedPoint)._store(moment=moment,
-                                                   weights=(s, t) if s < t else (t, s)))
+            node.__dict__.update(moment=moment, weights=(s, t) if s < t else (t, s))
+        nodes.append(node)
 
     zk = []
     for i, speed in enumerate(speeds):
@@ -258,13 +255,15 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
             if speed < 0:
                 lo, hi = hi, lo
             zk.append((rank[lo], rank[hi], abs(speed), lo, hi, i))
-    zk.sort()
-    zk_edges = tuple(
-        new(ZkEdge)._store(k=k, endpoints=(lo, hi),
-                           moment_interval=(nodes[lo].moment, nodes[hi].moment))
-        for _, _, k, lo, hi, _ in zk
-    )
-    return new(LabeledGraph)._store(nodes=tuple(nodes), edges=zk_edges)
+    zk_edges = []
+    for _, _, k, lo, hi, _ in sorted(zk):
+        edge = new(ZkEdge)
+        edge.__dict__.update(k=k, endpoints=(lo, hi),
+                             moment_interval=(nodes[lo].moment, nodes[hi].moment))
+        zk_edges.append(edge)
+    graph = new(LabeledGraph)
+    graph.__dict__.update(nodes=tuple(nodes), edges=tuple(zk_edges))
+    return graph
 
 
 def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = False) -> bool:

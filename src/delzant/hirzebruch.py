@@ -38,11 +38,8 @@ import math
 from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
-from .lattice import (
-    IntVec2, Mat2, RatVec2, UnimodularAffine, _Value, _as_mat2, as_rational, det2, is_int,
-    mat_vec,
-)
-from .polygon import Polygon, _from_edges, edge_data, is_delzant
+from .lattice import IntVec2, Mat2, UnimodularAffine, _Value, _as_mat2, as_rational, det2, is_int
+from .polygon import Polygon, _from_edges, _translation, _triple, edge_data, is_delzant
 
 
 class HirzebruchParams(_Value):
@@ -126,11 +123,13 @@ BLOWUP_FORM = IntersectionForm(((1, 0), (0, -1)))
 
 
 def standard_trapezoid(params: HirzebruchParams) -> Polygon:
-    a, b, m = params.a, params.b, params.m
-    half, zero = Fraction(m, 2) * b, Fraction(0)
+    (p, q), (r, s), m = params.a.as_integer_ratio(), params.b.as_integer_ratio(), params.m
+    # over 2 q s, a + (m/2) b, a - (m/2) b and b have the numerators below
+    wide, narrow, height, den = 2 * p * s + m * q * r, 2 * p * s - m * q * r, 2 * q * r, 2 * q * s
     return _from_edges(
-        (RatVec2(zero, zero), RatVec2(a + half, zero), RatVec2(a - half, b), RatVec2(zero, b)),
-        [(1, 0, a + half), (-m, 1, b), (-1, 0, a - half), (0, -1, b)],
+        [(0, 0, 1), _triple(wide, 0, den), _triple(narrow, height, den), _triple(0, height, den)],
+        [(1, 0, Fraction(wide, den)), (-m, 1, params.b), (-1, 0, Fraction(narrow, den)),
+         (0, -1, params.b)],
     )
 
 
@@ -180,7 +179,7 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
     upright = ((u[r].x, u[r].y), (u[r + 1].x, u[r + 1].y))
     if not params.is_canonical:
         params, upright = params.canonical(), upright[::-1]
-    return params, UnimodularAffine(upright, -mat_vec(upright, poly.vertices[(r + 1) % 4]))
+    return params, UnimodularAffine(upright, _translation(upright, poly._pts[(r + 1) % 4]))
 
 
 def parity_reduce(params: HirzebruchParams) -> HirzebruchParams:

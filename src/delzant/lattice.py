@@ -1,9 +1,10 @@
 """Exact scalars and 2D lattice linear algebra.
 
-All coordinates are ``fractions.Fraction`` (arbitrary precision, always
-stored reduced with positive denominator) and all lattice data is plain
-Python ``int``.  No floating point enters anywhere: the geometric
-dichotomies downstream (determinant exactly 1, strict rational
+Points (``RatVec2``) have ``fractions.Fraction`` coordinates (arbitrary
+precision, always reduced with positive denominator), which a polygon
+keeps as integer triples over one denominator per vertex; all lattice
+data is plain Python ``int``.  No floating point enters anywhere: the
+geometric dichotomies downstream (determinant exactly 1, strict rational
 inequalities) are meaningless under rounding.
 
 A 2x2 integer matrix is a pair of rows ``((a, b), (c, d))``.  The only
@@ -102,9 +103,9 @@ class _Value:
     validates its arguments and then stores every field at once with
     ``self.__dict__.update``, which is cheaper than one
     ``object.__setattr__`` call per field; after that, assignment and
-    deletion raise ``AttributeError``.  ``_store(**fields)`` is the same
-    keyword store, unchecked, for builders whose values are valid by
-    construction.
+    deletion raise ``AttributeError``.  A builder whose values are valid by
+    construction skips the checks: ``object.__new__(cls)``, then the same
+    ``__dict__.update``.
     """
 
     _fields: tuple[str, ...]
@@ -126,13 +127,6 @@ class _Value:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
-
-    def _store(self, **fields):
-        """Store ``fields`` unchecked and return ``self``, so that code whose
-        values are valid by construction builds with
-        ``object.__new__(cls)._store(name=value, ...)``."""
-        self.__dict__.update(fields)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -2,10 +2,12 @@
 
 A polygon is stored counterclockwise, strictly convex, starting at its
 lexicographically smallest vertex, so equal polygons compare equal
-structurally.  Each edge carries a primitive integer direction, the
-matching inward normal (the direction rotated left by 90 degrees, which
-points inward for a counterclockwise boundary), and a rational lattice
-length:
+structurally.  Each vertex is kept as an integer triple (x, y, d), the
+point (x/d, y/d) with d the lcm of its coordinates' denominators, so
+equal points have equal triples; ``vertices`` builds the points on first
+read.  Each edge carries a primitive integer direction, the matching
+inward normal (the direction rotated left by 90 degrees, which points
+inward for a counterclockwise boundary), and a rational lattice length:
 
     edge vector = lattice_length * direction.
 
@@ -15,7 +17,7 @@ the number of times the directions turn round, which must be one.  Such a
 boundary is simple, so no vertex is hashed: a repeated vertex is sought
 only on the way to another error, and replaces that error when found.
 ``apply_map`` and ``standard_trapezoid`` build valid polygons from their
-integer edge data through the constructor's last step alone.
+integer triples and edge data through the constructor's last step alone.
 
 The polygon is Delzant when consecutive primitive inward normals satisfy
 det(u_i, u_{i+1}) = 1 cyclically, i.e. every pair of adjacent normals is
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CollinearVerticesError,
@@ -52,7 +55,6 @@ from .lattice import (
     _as_tuple,
     _Value,
     det2,
-    mat_vec,
     solve_mat2,
 )
 
@@ -79,27 +81,29 @@ class Polygon(_Value):
     """
 
     _fields = ("vertices", "input_reversed")
-    _compared = ("vertices",)
+    _compared = ("_pts",)
 
     def __init__(self, vertices: tuple[RatVec2, ...]):
         items = _as_tuple(vertices)
         if items is None:
             raise FormatError(f"bad vertices {vertices!r}")
-        pts = given = tuple(p if isinstance(p, RatVec2) else _as_point(p) for p in items)
-        n = len(pts)
+        given = tuple(p if isinstance(p, RatVec2) else _as_point(p) for p in items)
+        n = len(given)
         if n < 3:
             raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
+        pts = []
+        for p in given:
+            (x, s), (y, t) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+            d = math.lcm(s, t)
+            pts.append((x * (d // s), y * (d // t), d))
 
-        # s * (b - a) is an integer vector; with g the gcd of its entries,
-        # the edge has direction s * (b - a) / g and lattice length g / s
-        coords = [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in pts]
+        # ad bd (b - a) is an integer vector; with g the gcd of its entries, the edge
+        # has direction ad bd (b - a) / g and lattice length g / (ad bd)
         edges = []
-        for (ax, ad, ay, ae), (bx, bd, by, be) in zip(coords, coords[1:] + coords[:1]):
-            s = math.lcm(ad, ae, bd, be)
-            dx = bx * (s // bd) - ax * (s // ad)
-            dy = by * (s // be) - ay * (s // ae)
+        for (ax, ay, ad), (bx, by, bd) in zip(pts, pts[1:] + pts[:1]):
+            dx, dy = bx * ad - ax * bd, by * ad - ay * bd
             g = math.gcd(dx, dy) or 1  # a zero edge makes zero turns: a repeat, raised below
-            edges.append((dx // g, dy // g, Fraction(g, s)))
+            edges.append((dx // g, dy // g, Fraction(g, ad * bd)))
 
         # edge i is a positive multiple of d_i, so det(d_i, d_{i+1}) signs the turn at i + 1
         turns = [a * d - b * c for (a, b, _), (c, d, _) in zip(edges, edges[1:] + edges[:1])]
@@ -109,39 +113,60 @@ class Polygon(_Value):
             majority_ccw = sum(1 for turn in turns if turn > 0) * 2 >= n
             bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
             raise _repeat_error(given) or NonConvexError((bad + 1) % n)
-        extra = self._fill(pts, edges, max(turns) < 0)
+        extra = self._fill(pts, edges, max(turns) < 0, given)
         if extra is not None:
-            raise _repeat_error(given) or NonConvexError(given.index(extra))
+            raise _repeat_error(given) or NonConvexError(pts.index(extra))
 
-    def _fill(self, pts, edges, reverse: bool) -> RatVec2 | None:
-        """Store points and their edges (dx, dy, length), reversed first if
-        ``reverse``, from the least vertex: the one entered by a leftward edge,
-        (dx, dy) < (0, 0), and left by one that is not.  A boundary that winds
-        more than once has further such vertices; return the first, or None."""
+    def _fill(self, pts, edges, reverse: bool, given=()) -> tuple[int, int, int] | None:
+        """Store vertex triples, their edges (dx, dy, length) and any points ``given``,
+        reversed first if ``reverse``, from the least vertex: the one entered by a
+        leftward edge, (dx, dy) < (0, 0), and left by one that is not.  A boundary that
+        winds more than once has further such vertices; return the first, or None."""
         if reverse:
-            pts = pts[::-1]
+            pts, given = pts[::-1], given[::-1]
             # reversed edge j runs backwards along input edge n - 2 - j
             edges = [(-dx, -dy, length) for dx, dy, length in edges[-2::-1] + edges[-1:]]
         leftward = [(dx, dy) < (0, 0) for dx, dy, _ in edges]
         start, *others = [i for i in range(len(pts)) if leftward[i - 1] and not leftward[i]]
         edges = edges[start:] + edges[:start]
-        self.__dict__.update(
-            vertices=pts[start:] + pts[:start],
-            input_reversed=reverse,
-            _edges=tuple(EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
-                         for i, (dx, dy, length) in enumerate(edges)),
-        )
+        self.__dict__.update(_pts=tuple(pts[start:] + pts[:start]), input_reversed=reverse,
+                             _edges=tuple(EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
+                                          for i, (dx, dy, length) in enumerate(edges)))
+        if given:
+            self.__dict__["vertices"] = given[start:] + given[:start]
         return pts[others[0]] if others else None
 
+    @cached_property
+    def vertices(self) -> tuple[RatVec2, ...]:
+        """The points, built on first read unless given to the constructor."""
+        return tuple(RatVec2(Fraction(x, d), Fraction(y, d)) for x, y, d in self._pts)
+
+    def __hash__(self):  # equality compares the triples, the hash the points
+        return hash((self.vertices,))
+
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._pts)
 
 
 def _from_edges(pts, edges, reverse: bool = False) -> Polygon:
-    """The polygon on points and their edges (dx, dy, length), valid by construction, unchecked."""
+    """The polygon on vertex triples and their edges (dx, dy, length), unchecked."""
     poly = object.__new__(Polygon)
     poly._fill(pts, edges, reverse)
     return poly
+
+
+def _triple(x: int, y: int, d: int) -> tuple[int, int, int]:
+    """The vertex triple of the point (x/d, y/d), for d > 0."""
+    g = math.gcd(x, y, d)
+    return x // g, y // g, d // g
+
+
+def _translation(linear, src, dst=(0, 0, 1)) -> RatVec2:
+    """The v with R src + v = dst for R = ``linear``; src and dst are vertex triples."""
+    (r00, r01), (r10, r11) = linear
+    (x, y, d), (u, w, e) = src, dst
+    return RatVec2(Fraction(u * d - (r00 * x + r01 * y) * e, d * e),
+                   Fraction(w * d - (r10 * x + r11 * y) * e, d * e))
 
 
 def _as_point(p) -> RatVec2:
@@ -207,7 +232,11 @@ def apply_map(poly: Polygon, transform: UnimodularAffine) -> Polygon:
     (r00, r01), (r10, r11) = transform.linear
     edges = [(r00 * e.direction.x + r01 * e.direction.y,
               r10 * e.direction.x + r11 * e.direction.y, e.lattice_length) for e in edge_data(poly)]
-    pts = tuple(transform.apply(p) for p in poly.vertices)
+    v = transform.translation
+    (s, f), (t, g) = v.x.as_integer_ratio(), v.y.as_integer_ratio()
+    s, t, e = _triple(s * g, t * f, f * g)  # the translation is (s/e, t/e)
+    pts = [_triple((r00 * x + r01 * y) * e + s * d, (r10 * x + r11 * y) * e + t * d, d * e)
+           for x, y, d in poly._pts]
     return _from_edges(pts, edges, r00 * r11 - r01 * r10 < 0)
 
 
@@ -279,7 +308,6 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
             t0, t1 = d2[offset], d2[(offset + orientation) % n]
             linear = solve_mat2((d1[0], d1[1]), (t0, t1) if orientation > 0 else (-t0, -t1))
             if linear is not None:
-                return UnimodularAffine(
-                    linear, p2.vertices[(offset + head) % n] - mat_vec(linear, p1.vertices[0])
-                )
+                target = p2._pts[(offset + head) % n]
+                return UnimodularAffine(linear, _translation(linear, p1._pts[0], target))
     return None

@@ -138,6 +138,40 @@ def test_valid_polygons_are_built_with_no_constructor_call(monkeypatch):
     assert calls == 1  # the counter sees the public constructor
 
 
+def test_builders_make_no_points_until_the_vertices_are_read(monkeypatch):
+    """Work counter: polygons keep their vertices as integer triples, so
+    ``apply_map`` and ``standard_trapezoid`` build no ``RatVec2`` until
+    ``vertices`` is read, and ``classify_quadrilateral`` and ``congruent``
+    build exactly one each, the translation of their witness."""
+    trapezoid = standard_trapezoid(HirzebruchParams(Fraction(5, 2), 1, 3))
+    quad = make_polygon(apply_map(trapezoid, UnimodularAffine(((1, 2), (1, 1)), (3, 0))).vertices)
+    ngon = cut_corners(make_polygon([(0, 0), (81, 0), (81, 81), (0, 81)]), Random(5), 60)
+    maps = [UnimodularAffine(((2, 1), (1, 1)), (1, Fraction(1, 3))),
+            UnimodularAffine(((1, 1), (1, 0)), (0, Fraction(-2, 7)))]
+    calls = 0
+    init = RatVec2.__init__
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        init(self, x, y)
+
+    monkeypatch.setattr(RatVec2, "__init__", counted)
+    images = [apply_map(poly, t) for poly in (quad, ngon) for t in maps]
+    std = standard_trapezoid(HirzebruchParams(Fraction(7, 2), Fraction(1, 3), 5))
+    assert calls == 0
+    params, witness = classify_quadrilateral(quad)
+    assert calls == 1
+    target = standard_trapezoid(params)
+    found = congruent(quad, target)
+    assert calls == 2
+    assert apply_map(quad, found) == target == apply_map(quad, witness)
+    assert images[0] != images[1] and calls == 2  # equality compares the triples
+    assert len(std.vertices) == 4 and len(images[2].vertices) == len(ngon)
+    assert calls == 2 + 4 + len(ngon)  # built once, on the first read
+    assert std.vertices is std.vertices and calls == 2 + 4 + len(ngon)
+
+
 def test_parity_reduce():
     assert parity_reduce(HirzebruchParams(Fraction(5, 2), 1, 4)) == HirzebruchParams(
         Fraction(5, 2), 1, 0

@@ -1,5 +1,6 @@
 """Polygon construction, Delzant verification, and congruence."""
 
+import math
 import pickle
 from fractions import Fraction
 from random import Random
@@ -356,3 +357,34 @@ def test_congruent_maps_no_vertex_to_find_a_witness(monkeypatch, n):
     witness = congruent(ngon, image)
     assert len(ngon) == n and applied == 0
     assert apply_map(ngon, witness) == image
+
+
+def _first_primes(count: int) -> list[int]:
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_pairwise_coprime_denominators_stay_per_vertex():
+    """256 vertices on the parabola y = x^2 at x = k + 1/p_k, p_k the k-th
+    prime: no two vertices share a denominator, so one denominator for the
+    whole polygon would have about 4,000 digits.  Each vertex keeps its
+    own, the lcm of its two coordinates' denominators, through
+    ``apply_map``, ``congruent`` and its witness, and equality."""
+    xs = [k + Fraction(1, p) for k, p in enumerate(_first_primes(256))]
+    poly = make_polygon([(x, x * x) for x in xs])
+    t = UnimodularAffine(((2, 1), (1, 1)), (Fraction(1, 3), Fraction(-2, 5)))
+    image = apply_map(poly, t)
+    witness = congruent(poly, image)
+    assert witness is not None
+    mapped = apply_map(poly, witness)
+    assert mapped == image == make_polygon([t.apply(p) for p in poly.vertices])
+    assert image != apply_map(poly, UnimodularAffine(t.linear, (Fraction(1, 3), 0)))
+    for built in (poly, image, mapped):
+        for (x, y, d), p in zip(built._pts, built.vertices):
+            assert d == math.lcm(p.x.denominator, p.y.denominator)
+            assert p == RatVec2(Fraction(x, d), Fraction(y, d))

@@ -1,10 +1,12 @@
 """Property tests of the lattice invariants, drawn by the deterministic
 ``hypothesis`` profile of ``conftest.py``."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delzant import (
     BlowUp,
@@ -32,6 +34,7 @@ from delzant import (
     make_polygon,
     standard_trapezoid,
 )
+from delzant.errors import DelzantError
 from delzant.lattice import mat_det, mat_vec
 
 from support import primitive_directions
@@ -245,3 +248,85 @@ def test_apply_map_builds_what_the_constructor_builds(poly, t1, t2):
 def test_standard_trapezoid_builds_what_the_constructor_builds(params):
     std = standard_trapezoid(params)
     _assert_constructed(std, Polygon(std.vertices))
+
+
+def _assert_canonical_triples(poly: Polygon):
+    """Each stored vertex (x, y, d) is the point (x/d, y/d) in lowest terms:
+    d > 0, gcd(x, y, d) = 1, and d is the lcm of the point's own two
+    coordinate denominators, never a denominator shared across vertices."""
+    for x, y, d in poly._pts:
+        assert d > 0 and math.gcd(x, y, d) == 1
+        assert d == math.lcm(Fraction(x, d).denominator, Fraction(y, d).denominator)
+
+
+@settings(max_examples=200)
+@given(st.one_of(hull_polygons(), corner_cut_polygons(cuts=60)),
+       unimodular_affines(), unimodular_affines(), valid_params())
+def test_every_builder_output_is_rebuilt_from_its_vertices(poly, t1, t2, params):
+    """The vertex triples are a canonical form: whichever builder made a
+    polygon (the constructor, ``apply_map`` under maps of either
+    determinant sign, chained twice, or ``standard_trapezoid``), the
+    constructor given its vertices stores the same triples, and makes a
+    polygon with the same points, edge data and hash."""
+    once = apply_map(poly, t1)
+    for built in (poly, once, apply_map(once, t2), standard_trapezoid(params)):
+        _assert_canonical_triples(built)
+        rebuilt = Polygon(built.vertices)
+        assert rebuilt._pts == built._pts and rebuilt == built
+        assert repr(rebuilt.vertices) == repr(built.vertices)
+        assert repr(edge_data(rebuilt)) == repr(edge_data(built))
+        assert hash(rebuilt) == hash(built)
+
+
+@st.composite
+def polygon_pairs(draw):
+    """Two vertex lists and a map for each: one hull under one map, whose
+    images are equal, or under two maps, or two hulls that differ in one
+    coordinate's denominator alone, under one map."""
+    hull = convex_hull(draw(st.lists(st.tuples(rationals, rationals), min_size=3, max_size=8)))
+    assume(len(hull) >= 3)
+    t = draw(unimodular_affines())
+    how = draw(st.sampled_from(("same", "maps", "denominator")))
+    if how != "denominator":
+        return hull, hull, t, t if how == "same" else draw(unimodular_affines())
+    other = [list(p) for p in hull]
+    k, c = draw(st.integers(0, len(hull) - 1)), draw(st.integers(0, 1))
+    value = Fraction(other[k][c])
+    denominator = value.denominator * draw(st.integers(2, 5))
+    assume(math.gcd(value.numerator, denominator) == 1)  # so the numerator stays
+    other[k][c] = Fraction(value.numerator, denominator)
+    return hull, other, t, t
+
+
+_TRIANGLE = [(0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))]
+_FLATTER = [(0, 0), (1, 0), (Fraction(1, 3), Fraction(1, 3))]  # triple (1, 1, 2) -> (1, 1, 3)
+_SHEAR = UnimodularAffine(((1, 1), (0, 1)), (Fraction(1, 7), 0))
+
+
+@example((_TRIANGLE, _FLATTER, _SHEAR, _SHEAR))
+@example((_TRIANGLE, _TRIANGLE[::-1], _SHEAR, _SHEAR))
+@given(polygon_pairs())
+def test_equality_of_triples_is_equality_of_vertices(pair):
+    """``apply_map`` builds no points, so ``==`` compares the triples alone;
+    it agrees with ``==`` on the points read afterwards."""
+    hull, other, t, u = pair
+    try:
+        p, q = apply_map(make_polygon(hull), t), apply_map(make_polygon(other), u)
+    except DelzantError:  # the moved vertex broke convexity
+        assume(False)
+    equal = p == q
+    assert "vertices" not in vars(p) and "vertices" not in vars(q)
+    assert equal == (p.vertices == q.vertices)
+    if equal:
+        assert hash(p) == hash(q)
+
+
+@given(st.one_of(hull_polygons(), corner_cut_polygons(cuts=60)), unimodular_affines(),
+       valid_params())
+def test_copies_of_polygons_with_unread_vertices_are_equal(poly, t, params):
+    for built in (apply_map(poly, t), standard_trapezoid(params)):
+        assert "vertices" not in vars(built)
+        copies = [pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)]
+        for copied in copies:
+            assert copied == built and copied.input_reversed == built.input_reversed
+            assert repr(copied) == repr(built) and hash(copied) == hash(built)
