@@ -54,7 +54,7 @@ from .errors import (
     NotDelzantError,
 )
 from .lattice import IntVec2, _as_tuple, _Value, as_rational, is_int, primitive
-from .polygon import Polygon, edge_data, is_delzant
+from .polygon import Polygon, _delzant_failures
 
 
 class CircleDirection(_Value):
@@ -173,7 +173,7 @@ def _moment_pairs(nodes) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[
 def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
     """Labeled graph of the circle subaction with primitive direction xi.
 
-    One walk over ``edge_data(poly)``: edge i has speed s_i = <xi, d_i>,
+    One walk over the polygon's edges: edge i has speed s_i = <xi, d_i>,
     and the moment rises along it when s_i > 0.  A level edge (s_i = 0)
     is one fixed surface, which its tail vertex stands for; its head
     vertex is skipped.  Any other vertex i is an isolated point whose
@@ -198,13 +198,12 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     if not isinstance(direction, CircleDirection):
         direction = CircleDirection(direction)
     xi = direction.xi
-    report = is_delzant(poly)
-    if not report.is_delzant:
-        raise NotDelzantError(report.failures)
+    if failures := _delzant_failures(poly):
+        raise NotDelzantError(failures)
 
-    edges = edge_data(poly)
+    edges = poly._edges
     n = len(edges)
-    speeds = [xi.dot(e.direction) for e in edges]
+    speeds = [xi.x * dx + xi.y * dy for dx, dy, _ in edges]
     # vertex i = (x/d, y/d) has moment num[i] / den[i] = <xi, (x, y)> / d, not reduced
     num = [xi.x * x + xi.y * y for x, y, _ in poly._pts]
     den = [d for _, _, d in poly._pts]
@@ -242,7 +241,7 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
         node = new(FatVertex if speeds[i] == 0 else IsolatedPoint)
         if speeds[i] == 0:
             node_of_vertex[(i + 1) % n] = len(nodes)
-            node.__dict__.update(moment=moment, area=edges[i].lattice_length, genus=0)
+            node.__dict__.update(moment=moment, area=edges[i][2], genus=0)
         else:
             s, t = speeds[i], -speeds[i - 1]
             node.__dict__.update(moment=moment, weights=(s, t) if s < t else (t, s))

@@ -38,8 +38,8 @@ import math
 from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
-from .lattice import IntVec2, Mat2, UnimodularAffine, _Value, _as_mat2, as_rational, det2, is_int
-from .polygon import Polygon, _from_edges, _translation, _triple, edge_data, is_delzant
+from .lattice import Mat2, UnimodularAffine, _Value, _as_mat2, as_rational, is_int
+from .polygon import Polygon, _delzant_failures, _from_edges, _triple, _witness
 
 
 class HirzebruchParams(_Value):
@@ -67,8 +67,15 @@ class HirzebruchParams(_Value):
 
     def canonical(self) -> "HirzebruchParams":
         if self.m == 0 and self.a < self.b:
-            return HirzebruchParams(self.b, self.a, 0)
+            return _params(self.b, self.a, 0)
         return self
+
+
+def _params(a: Fraction, b: Fraction, m: int) -> HirzebruchParams:
+    """``HirzebruchParams(a, b, m)`` for values valid by construction, stored unchecked."""
+    params = object.__new__(HirzebruchParams)
+    params.__dict__.update(a=a, b=b, m=m)
+    return params
 
 
 class SphereProduct(_Value):
@@ -133,9 +140,6 @@ def standard_trapezoid(params: HirzebruchParams) -> Polygon:
     )
 
 
-_STANDARD_BASIS = (IntVec2(1, 0), IntVec2(0, 1))
-
-
 def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularAffine]:
     """Identify a Delzant quadrilateral as a standard trapezoid.
 
@@ -162,29 +166,30 @@ def classify_quadrilateral(poly: Polygon) -> tuple[HirzebruchParams, UnimodularA
     """
     if len(poly) != 4:
         raise EdgeCountError(f"expected a quadrilateral, got {len(poly)} edges")
-    report = is_delzant(poly)
-    if not report.is_delzant:
-        raise NotDelzantError(report.failures)
-    u = report.normals * 2  # doubled, so u[r + j] needs no wrap-around
-    standard = [
-        r for r in range(4) if det2(u[r + 3], u[r + 1]) == 0 and det2(u[r], u[r + 2]) <= 0
-    ]
+    if failures := _delzant_failures(poly):
+        raise NotDelzantError(failures)
+    edges = poly._edges * 2  # doubled, so edges[r + j] needs no wrap-around
+    u = [(-dy, dx) for dx, dy, _ in edges]
+
+    def det(i: int, j: int) -> int:
+        return u[i][0] * u[j][1] - u[i][1] * u[j][0]
+
+    standard = [r for r in range(4) if det(r + 3, r + 1) == 0 and det(r, r + 2) <= 0]
     # a rectangle admits all four relabelings; prefer the one that keeps
     # an already-standard polygon fixed
-    r = next((r for r in standard if (u[r], u[r + 1]) == _STANDARD_BASIS), standard[0])
+    r = next((r for r in standard if (u[r], u[r + 1]) == ((1, 0), (0, 1))), standard[0])
 
-    lengths = [e.lattice_length for e in edge_data(poly) * 2]
-    b, bottom, top = lengths[r], lengths[r + 1], lengths[r + 3]
-    params = HirzebruchParams((bottom + top) / 2, b, -det2(u[r], u[r + 2]))
-    upright = ((u[r].x, u[r].y), (u[r + 1].x, u[r + 1].y))
+    b, bottom, top = edges[r][2], edges[r + 1][2], edges[r + 3][2]
+    params = _params((bottom + top) / 2, b, -det(r, r + 2))
+    upright = (u[r], u[r + 1])
     if not params.is_canonical:
         params, upright = params.canonical(), upright[::-1]
-    return params, UnimodularAffine(upright, _translation(upright, poly._pts[(r + 1) % 4]))
+    return params, _witness(upright, poly._pts[(r + 1) % 4])
 
 
 def parity_reduce(params: HirzebruchParams) -> HirzebruchParams:
     """Reduce m by steps of two; the manifold class only sees m mod 2."""
-    return HirzebruchParams(params.a, params.b, params.m % 2)
+    return _params(params.a, params.b, params.m % 2)
 
 
 def manifold_of(params: HirzebruchParams) -> ManifoldClass:
@@ -215,7 +220,7 @@ def enumerate_tori(manifold: ManifoldClass) -> tuple[HirzebruchParams, ...]:
     when k < ceil(ratio), so there are ``count_tori`` entries.
     """
     a, b, count, parity = _trapezoid_data(manifold)
-    return tuple(HirzebruchParams(a, b, 2 * k + parity) for k in range(count))
+    return tuple(_params(a, b, 2 * k + parity) for k in range(count))
 
 
 def count_tori(manifold: ManifoldClass) -> int:

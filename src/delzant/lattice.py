@@ -149,13 +149,6 @@ class IntVec2(_Value):
     def __neg__(self) -> "IntVec2":
         return IntVec2(-self.x, -self.y)
 
-    def dot(self, other) -> int | Fraction:
-        return self.x * other.x + self.y * other.y
-
-    def rotate_left(self) -> "IntVec2":
-        """Rotation by +90 degrees: (x, y) -> (-y, x)."""
-        return IntVec2(-self.y, self.x)
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
@@ -177,9 +170,6 @@ class RatVec2(_Value):
     def __neg__(self) -> "RatVec2":
         return RatVec2(-self.x, -self.y)
 
-    def dot(self, other) -> Fraction:
-        return self.x * other.x + self.y * other.y
-
 
 def primitive(v: IntVec2) -> IntVec2:
     """Divide out the gcd of the entries; direction is preserved.
@@ -198,35 +188,6 @@ def det2(u: IntVec2, w: IntVec2) -> int:
 
 def mat_det(m: Mat2) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def mat_mul(m1: Mat2, m2: Mat2) -> Mat2:
-    return (
-        (m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0], m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
-        (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0], m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]),
-    )
-
-
-def mat_transpose(m: Mat2) -> Mat2:
-    return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-
-
-def mat_vec(m: Mat2, v):
-    """Apply to an IntVec2 or RatVec2, preserving the vector type."""
-    cls = type(v)
-    return cls(m[0][0] * v.x + m[0][1] * v.y, m[1][0] * v.x + m[1][1] * v.y)
-
-
-def mat_inverse_unimodular(m: Mat2) -> Mat2:
-    """Integer inverse; valid only when det(m) is +1 or -1."""
-    d = mat_det(m)
-    if d not in (1, -1):
-        raise NotUnimodularError(f"matrix {m} has determinant {d}, expected +1 or -1")
-    # adj(m)/det(m); multiplying by det is the same as dividing when det^2 = 1
-    return (
-        (d * m[1][1], -d * m[0][1]),
-        (-d * m[1][0], d * m[0][0]),
-    )
 
 
 def solve_mat2(src: tuple[IntVec2, IntVec2], dst: tuple[IntVec2, IntVec2]) -> Mat2 | None:
@@ -295,11 +256,4 @@ class UnimodularAffine(_Value):
         return RatVec2(
             Fraction((r00 * x * e + r01 * y * d) * f + s * de, de * f),
             Fraction((r10 * x * e + r11 * y * d) * g + t * de, de * g),
-        )
-
-    def compose(self, other: "UnimodularAffine") -> "UnimodularAffine":
-        """The map p -> self(other(p))."""
-        return UnimodularAffine(
-            mat_mul(self.linear, other.linear),
-            mat_vec(self.linear, other.translation) + self.translation,
         )

@@ -5,19 +5,25 @@ lexicographically smallest vertex, so equal polygons compare equal
 structurally.  Each vertex is kept as an integer triple (x, y, d), the
 point (x/d, y/d) with d the lcm of its coordinates' denominators, so
 equal points have equal triples; ``vertices`` builds the points on first
-read.  Each edge carries a primitive integer direction, the matching
-inward normal (the direction rotated left by 90 degrees, which points
-inward for a counterclockwise boundary), and a rational lattice length:
+read.  Each edge is kept as a plain tuple (dx, dy, length): a primitive
+integer direction and a rational lattice length, with
 
-    edge vector = lattice_length * direction.
+    edge vector = length * (dx, dy).
 
-The constructor computes this edge data once, in integers per edge, and
+Its inward normal is the direction rotated left by 90 degrees, (-dy, dx),
+which points inward for a counterclockwise boundary; a rotation keeps
+determinants, so det(u_i, u_j) = det(d_i, d_j).  ``edge_data`` builds
+the ``EdgeData`` records on its first call and caches them, and
+``is_delzant`` takes its report's normals from them; the algorithms read
+the int tuples.
+
+The constructor computes the edges once, in integers per edge, and
 reads convexity and orientation off the signs of det(d_i, d_{i+1}) and
 the number of times the directions turn round, which must be one.  Such a
 boundary is simple, so no vertex is hashed: a repeated vertex is sought
 only on the way to another error, and replaces that error when found.
 ``apply_map`` and ``standard_trapezoid`` build valid polygons from their
-integer triples and edge data through the constructor's last step alone.
+integer triples and edges through the constructor's last step alone.
 
 The polygon is Delzant when consecutive primitive inward normals satisfy
 det(u_i, u_{i+1}) = 1 cyclically, i.e. every pair of adjacent normals is
@@ -54,7 +60,6 @@ from .lattice import (
     UnimodularAffine,
     _as_tuple,
     _Value,
-    det2,
     solve_mat2,
 )
 
@@ -128,10 +133,8 @@ class Polygon(_Value):
             edges = [(-dx, -dy, length) for dx, dy, length in edges[-2::-1] + edges[-1:]]
         leftward = [(dx, dy) < (0, 0) for dx, dy, _ in edges]
         start, *others = [i for i in range(len(pts)) if leftward[i - 1] and not leftward[i]]
-        edges = edges[start:] + edges[:start]
         self.__dict__.update(_pts=tuple(pts[start:] + pts[:start]), input_reversed=reverse,
-                             _edges=tuple(EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
-                                          for i, (dx, dy, length) in enumerate(edges)))
+                             _edges=tuple(edges[start:] + edges[:start]))
         if given:
             self.__dict__["vertices"] = given[start:] + given[:start]
         return pts[others[0]] if others else None
@@ -140,6 +143,11 @@ class Polygon(_Value):
     def vertices(self) -> tuple[RatVec2, ...]:
         """The points, built on first read unless given to the constructor."""
         return tuple(RatVec2(Fraction(x, d), Fraction(y, d)) for x, y, d in self._pts)
+
+    @cached_property
+    def _edge_data(self) -> tuple[EdgeData, ...]:
+        return tuple(EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
+                     for i, (dx, dy, length) in enumerate(self._edges))
 
     def __hash__(self):  # equality compares the triples, the hash the points
         return hash((self.vertices,))
@@ -161,12 +169,16 @@ def _triple(x: int, y: int, d: int) -> tuple[int, int, int]:
     return x // g, y // g, d // g
 
 
-def _translation(linear, src, dst=(0, 0, 1)) -> RatVec2:
-    """The v with R src + v = dst for R = ``linear``; src and dst are vertex triples."""
+def _witness(linear, src, dst=(0, 0, 1)) -> UnimodularAffine:
+    """The map x -> R x + v with R = ``linear`` and R src + v = dst, for vertex
+    triples src and dst, unchecked: every caller's lemma makes R unimodular."""
     (r00, r01), (r10, r11) = linear
     (x, y, d), (u, w, e) = src, dst
-    return RatVec2(Fraction(u * d - (r00 * x + r01 * y) * e, d * e),
-                   Fraction(w * d - (r10 * x + r11 * y) * e, d * e))
+    witness = object.__new__(UnimodularAffine)
+    witness.__dict__.update(linear=linear, translation=RatVec2(
+        Fraction(u * d - (r00 * x + r01 * y) * e, d * e),
+        Fraction(w * d - (r10 * x + r11 * y) * e, d * e)))
+    return witness
 
 
 def _as_point(p) -> RatVec2:
@@ -195,8 +207,9 @@ def make_polygon(points) -> Polygon:
 
 
 def edge_data(poly: Polygon) -> tuple[EdgeData, ...]:
-    """Per-edge lattice data in counterclockwise order, computed once by the constructor."""
-    return poly._edges
+    """Per-edge lattice data in counterclockwise order: built from the polygon's int
+    edges on the first call, and the same tuple on every later one."""
+    return poly._edge_data
 
 
 class DelzantReport(_Value):
@@ -214,15 +227,17 @@ class DelzantReport(_Value):
                              input_reversed=input_reversed)
 
 
+def _delzant_failures(poly: Polygon) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, d) with d = det(u_i, u_{i+1}) = det(d_i, d_{i+1}) other than 1."""
+    edges = poly._edges
+    pairs = enumerate(zip(edges, edges[1:] + edges[:1]))
+    return tuple((i, d) for i, ((a, b, _), (c, e, _)) in pairs if (d := a * e - b * c) != 1)
+
+
 def is_delzant(poly: Polygon) -> DelzantReport:
     """Check det(u_i, u_{i+1}) = 1 for all consecutive inward normals."""
+    failures = _delzant_failures(poly)
     normals = tuple(e.inward_normal for e in edge_data(poly))
-    n = len(normals)
-    failures = tuple(
-        (i, d)
-        for i in range(n)
-        if (d := det2(normals[i], normals[(i + 1) % n])) != 1
-    )
     return DelzantReport(not failures, normals, failures, poly.input_reversed)
 
 
@@ -230,8 +245,7 @@ def apply_map(poly: Polygon, transform: UnimodularAffine) -> Polygon:
     """Image polygon, renormalized to counterclockwise canonical form, built
     unchecked from the edges R d_i (same lengths; reversed if det R = -1)."""
     (r00, r01), (r10, r11) = transform.linear
-    edges = [(r00 * e.direction.x + r01 * e.direction.y,
-              r10 * e.direction.x + r11 * e.direction.y, e.lattice_length) for e in edge_data(poly)]
+    edges = [(r00 * dx + r01 * dy, r10 * dx + r11 * dy, length) for dx, dy, length in poly._edges]
     v = transform.translation
     (s, f), (t, g) = v.x.as_integer_ratio(), v.y.as_integer_ratio()
     s, t, e = _triple(s * g, t * f, f * g)  # the translation is (s/e, t/e)
@@ -245,19 +259,17 @@ def _invariant_word(poly: Polygon) -> list:
     congruence invariants.
 
     E_i = (numerator, denominator of the lattice length of edge i,
-    det(u_{i-1}, u_{i+1})) and C_i = det(u_i, u_{i+1}), in plain ints so
-    that words compare at C speed.  It is computed per ``congruent`` call,
-    not stored by the constructor, so that building a polygon does not
-    pay for it.
+    det(d_{i-1}, d_{i+1})) and C_i = det(d_i, d_{i+1}), in plain ints so
+    that words compare at C speed; the normals have the same determinants.
+    It is computed per ``congruent`` call, not stored by the constructor,
+    so that building a polygon does not pay for it.
     """
-    edges = edge_data(poly)
-    u = [e.inward_normal for e in edges]
-    n = len(u)
+    edges = poly._edges
     word = []
-    for i, e in enumerate(edges):
-        length = e.lattice_length
-        word.append((length.numerator, length.denominator, det2(u[i - 1], u[(i + 1) % n])))
-        word.append(det2(u[i], u[(i + 1) % n]))
+    for (px, py, _), (dx, dy, length), (nx, ny, _) in zip(edges[-1:] + edges[:-1], edges,
+                                                        edges[1:] + edges[:1]):
+        word.append((length.numerator, length.denominator, px * ny - py * nx))
+        word.append(dx * ny - dy * nx)
     return word
 
 
@@ -293,8 +305,8 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
         return None
     word1 = _invariant_word(p1)
     word2 = _invariant_word(p2)
-    d1 = [e.direction for e in edge_data(p1)]
-    d2 = [e.direction for e in edge_data(p2)]
+    src = tuple(IntVec2(dx, dy) for dx, dy, _ in p1._edges[:2])
+    d2 = p2._edges
     for orientation in (1, -1):
         head = 1 if orientation < 0 else 0
         # entry k of the backwards word is entry -k of p2's word; doubled, so
@@ -305,9 +317,9 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
             # the first entry alone rejects most offsets without a slice
             if cycle[start] != word1[0] or cycle[start:start + 2 * n] != word1:
                 continue
-            t0, t1 = d2[offset], d2[(offset + orientation) % n]
-            linear = solve_mat2((d1[0], d1[1]), (t0, t1) if orientation > 0 else (-t0, -t1))
+            (a, b, _), (c, e, _) = d2[offset], d2[(offset + orientation) % n]
+            linear = solve_mat2(src, (IntVec2(orientation * a, orientation * b),
+                                      IntVec2(orientation * c, orientation * e)))
             if linear is not None:
-                target = p2._pts[(offset + head) % n]
-                return UnimodularAffine(linear, _translation(linear, p1._pts[0], target))
+                return _witness(linear, p1._pts[0], p2._pts[(offset + head) % n])
     return None

@@ -31,6 +31,10 @@ from delzant.circle_actions import GraphNode
 from delzant.errors import NotDelzantError
 
 
+def _dot(u, w):
+    return u.x * w.x + u.y * w.y
+
+
 def reference_circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
     """Labeled graph of the circle subaction with primitive direction xi."""
     if not isinstance(direction, CircleDirection):
@@ -43,8 +47,8 @@ def reference_circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) 
     edges = edge_data(poly)
     n = len(edges)
     pts = poly.vertices
-    speeds = [xi.dot(e.direction) for e in edges]
-    moments = [p.dot(xi) for p in pts]
+    speeds = [_dot(xi, e.direction) for e in edges]
+    moments = [_dot(p, xi) for p in pts]
 
     # vertex i sits between edge i-1 (incoming) and edge i (outgoing)
     level_edge_of_vertex = {}
@@ -71,7 +75,7 @@ def reference_circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) 
             node_of_vertex[(i + 1) % n] = len(nodes) - 1
         else:
             away = (edges[i].direction, -edges[(i - 1) % n].direction)
-            nodes.append(IsolatedPoint(moments[i], (xi.dot(away[0]), xi.dot(away[1]))))
+            nodes.append(IsolatedPoint(moments[i], (_dot(xi, away[0]), _dot(xi, away[1]))))
             node_of_vertex[i] = len(nodes) - 1
 
     zk_edges = []

@@ -13,6 +13,9 @@ polygons, down to the ``repr`` of every witness.
 constructor and edge data: convexity from Fraction cross products of the
 edge vectors, and every edge derived again, on each call, from the
 vertex differences.
+
+The 2x2 matrix helpers at the top, ``compose`` and ``rotate_left`` serve
+these oracles and the tests; the library itself needs none of them.
 """
 
 import math
@@ -34,19 +37,43 @@ from delzant.errors import (
     EdgeCountError,
     NonConvexError,
     NotDelzantError,
+    NotUnimodularError,
     RepeatedVertexError,
     TooFewVerticesError,
 )
-from delzant.lattice import (
-    RatVec2,
-    mat_det,
-    mat_inverse_unimodular,
-    mat_transpose,
-    mat_vec,
-    primitive,
-    solve_mat2,
-)
+from delzant.lattice import Mat2, RatVec2, mat_det, primitive, solve_mat2
 from delzant.polygon import EdgeData
+
+
+def mat_vec(m: Mat2, v):
+    """Apply to an IntVec2 or RatVec2, preserving the vector type."""
+    return type(v)(m[0][0] * v.x + m[0][1] * v.y, m[1][0] * v.x + m[1][1] * v.y)
+
+
+def mat_transpose(m: Mat2) -> Mat2:
+    return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
+
+
+def mat_inverse_unimodular(m: Mat2) -> Mat2:
+    """Integer inverse; valid only when det(m) is +1 or -1."""
+    d = mat_det(m)
+    if d not in (1, -1):
+        raise NotUnimodularError(f"matrix {m} has determinant {d}, expected +1 or -1")
+    # adj(m)/det(m); multiplying by det is the same as dividing when det^2 = 1
+    return ((d * m[1][1], -d * m[0][1]), (-d * m[1][0], d * m[0][0]))
+
+
+def compose(t1: UnimodularAffine, t2: UnimodularAffine) -> UnimodularAffine:
+    """The map p -> t1(t2(p))."""
+    (a, b), (c, d) = t1.linear
+    (e, f), (g, h) = t2.linear
+    return UnimodularAffine(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)),
+                            mat_vec(t1.linear, t2.translation) + t1.translation)
+
+
+def rotate_left(v: IntVec2) -> IntVec2:
+    """Rotation by +90 degrees: (x, y) -> (-y, x)."""
+    return IntVec2(-v.y, v.x)
 
 
 def _candidate_transform(
@@ -161,7 +188,7 @@ def reference_classify_quadrilateral(
     image = apply_map(poly, upright)
     xmin = min(p.x for p in image.vertices)
     ymin = min(p.y for p in image.vertices)
-    witness = UnimodularAffine(translation=(-xmin, -ymin)).compose(upright)
+    witness = compose(UnimodularAffine(translation=(-xmin, -ymin)), upright)
     placed = apply_map(poly, witness)
 
     b = max(p.y for p in placed.vertices)
@@ -172,7 +199,7 @@ def reference_classify_quadrilateral(
 
     if not params.is_canonical:
         params = params.canonical()
-        witness = _SWAP_XY.compose(witness)
+        witness = compose(_SWAP_XY, witness)
     assert apply_map(poly, witness) == standard_trapezoid(params)
     return params, witness
 
@@ -237,5 +264,5 @@ def reference_edge_data(poly: ReferencePolygon) -> tuple[EdgeData, ...]:
         delta = pts[(i + 1) % n] - pts[i]
         direction = _primitive_direction(delta)
         length = delta.x / direction.x if direction.x else delta.y / direction.y
-        out.append(EdgeData(i, direction, direction.rotate_left(), length))
+        out.append(EdgeData(i, direction, rotate_left(direction), length))
     return tuple(out)

@@ -36,13 +36,13 @@ from delzant.errors import (
     NonPrimitiveDirectionError,
     NotDelzantError,
 )
-from delzant.lattice import mat_inverse_unimodular, mat_transpose, mat_vec
 
 from reference_graphs import (
     reference_check_extendable,
     reference_circle_graph,
     reference_graphs_isomorphic,
 )
+from reference_polygons import mat_inverse_unimodular, mat_transpose, mat_vec
 from support import (
     primitive_directions,
     rand_affine,

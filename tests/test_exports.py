@@ -113,6 +113,14 @@ REMOVED_NAMES = [
     "delzant.jsonio.params_from_json",
     "delzant.jsonio.manifold_to_json",
     "delzant.jsonio.fixed_data_to_json",
+    "UnimodularAffine.compose",
+    "delzant.lattice.mat_mul",
+    "delzant.lattice.mat_transpose",
+    "delzant.lattice.mat_inverse_unimodular",
+    "delzant.lattice.mat_vec",
+    "IntVec2.rotate_left",
+    "IntVec2.dot",
+    "RatVec2.dot",
 ]
 
 

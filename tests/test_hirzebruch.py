@@ -12,6 +12,7 @@ from delzant import (
     BLOWUP_FORM,
     HYPERBOLIC_FORM,
     BlowUp,
+    EdgeData,
     HirzebruchParams,
     IntersectionForm,
     Polygon,
@@ -19,11 +20,14 @@ from delzant import (
     SphereProduct,
     UnimodularAffine,
     apply_map,
+    circle_graph,
     classify_quadrilateral,
     congruent,
     count_tori,
+    edge_data,
     enumerate_tori,
     form_automorphisms,
+    is_delzant,
     make_polygon,
     manifold_of,
     parity_reduce,
@@ -31,9 +35,9 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant.errors import EdgeCountError, InvalidParamsError, NotDelzantError
-from delzant.lattice import mat_vec
 
 from reference_forms import reference_form_automorphisms
+from reference_polygons import mat_vec
 from support import rand_affine, rand_params
 from test_polygon_oracle import cut_corners
 
@@ -170,6 +174,66 @@ def test_builders_make_no_points_until_the_vertices_are_read(monkeypatch):
     assert len(std.vertices) == 4 and len(images[2].vertices) == len(ngon)
     assert calls == 2 + 4 + len(ngon)  # built once, on the first read
     assert std.vertices is std.vertices and calls == 2 + 4 + len(ngon)
+
+
+def test_algorithms_build_no_edge_data_until_it_is_read(monkeypatch):
+    """Work counter: polygons keep their edges as int tuples, so the
+    builders and the algorithms build no ``EdgeData``; the first
+    ``edge_data(p)`` builds one per edge, and a second call none."""
+    trapezoid = standard_trapezoid(HirzebruchParams(Fraction(5, 2), 1, 3))
+    quad = make_polygon(apply_map(trapezoid, UnimodularAffine(((1, 2), (1, 1)), (3, 0))).vertices)
+    ngon = cut_corners(make_polygon([(0, 0), (81, 0), (81, 81), (0, 81)]), Random(5), 60)
+    calls = 0
+    init = EdgeData.__init__
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    monkeypatch.setattr(EdgeData, "__init__", counted)
+    # one map of each determinant sign on each polygon
+    images = [apply_map(poly, UnimodularAffine(linear, (1, Fraction(1, 3))))
+              for poly in (quad, ngon) for linear in (((2, 1), (1, 1)), ((1, 1), (1, 0)))]
+    params, _ = classify_quadrilateral(images[1])
+    assert congruent(quad, standard_trapezoid(params)) is not None
+    assert congruent(images[2], images[3]) is not None
+    for poly in (quad, ngon, *images):
+        circle_graph(poly, (1, 2))
+    assert calls == 0
+    edges = edge_data(images[3])
+    assert calls == len(ngon)
+    assert edge_data(images[3]) is edges and calls == len(ngon)
+    # the report's normals are the cached records' normals
+    assert is_delzant(images[3]).normals == tuple(e.inward_normal for e in edges)
+    assert calls == len(ngon)
+
+
+def _assert_checked(params: HirzebruchParams):
+    """An unchecked value is the one the checked constructor makes."""
+    checked = HirzebruchParams(params.a, params.b, params.m)
+    assert checked == params and repr(checked) == repr(params) and hash(checked) == hash(params)
+
+
+_areas = st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40)
+
+
+@given(st.one_of(st.builds(SphereProduct, _areas, _areas),
+                 st.builds(lambda e, gap: BlowUp(e + gap, e), _areas, _areas)))
+def test_unchecked_params_are_the_checked_constructors(manifold):
+    """``enumerate_tori``, ``parity_reduce``, ``canonical`` and
+    ``classify_quadrilateral`` (its m = 0 swap included) store their
+    parameters without coercion or range checks."""
+    tori = enumerate_tori(manifold)
+    for params in tori:
+        _assert_checked(params)
+        _assert_checked(parity_reduce(params))
+    transform = UnimodularAffine(((1, 3), (1, 2)), (Fraction(1, 3), -2))
+    for params in (*tori[:2], *tori[-2:], HirzebruchParams(tori[0].b, tori[0].a, 0)):
+        found, _ = classify_quadrilateral(apply_map(standard_trapezoid(params), transform))
+        assert found == params.canonical()
+        _assert_checked(found)
+        _assert_checked(params.canonical())
 
 
 def test_parity_reduce():

@@ -227,7 +227,7 @@ def test_edge_vector_decomposition_and_closure():
             assert delta.x == e.lattice_length * e.direction.x
             assert delta.y == e.lattice_length * e.direction.y
             assert e.lattice_length > 0
-            assert e.inward_normal == e.direction.rotate_left()
+            assert e.inward_normal == IntVec2(-e.direction.y, e.direction.x)
             total = total + RatVec2(
                 e.lattice_length * e.inward_normal.x, e.lattice_length * e.inward_normal.y
             )

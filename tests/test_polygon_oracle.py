@@ -18,10 +18,11 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant.errors import DelzantError, NotDelzantError
-from delzant.lattice import det2, mat_det, mat_vec, solve_mat2
+from delzant.lattice import det2, mat_det, solve_mat2
 
 from reference_polygons import (
     ReferencePolygon,
+    mat_vec,
     reference_classify_quadrilateral,
     reference_congruent,
     reference_edge_data,

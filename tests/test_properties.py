@@ -12,6 +12,7 @@ from delzant import (
     BlowUp,
     FatVertex,
     HirzebruchParams,
+    IntVec2,
     IsolatedPoint,
     LabeledGraph,
     Polygon,
@@ -35,8 +36,9 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant.errors import DelzantError
-from delzant.lattice import mat_det, mat_vec
+from delzant.lattice import mat_det
 
+from reference_polygons import ReferencePolygon, mat_vec, reference_edge_data
 from support import primitive_directions
 from test_polygon_oracle import check_direction_solve, convex_hull, cut_corners
 
@@ -113,7 +115,7 @@ def test_edges_walk_the_boundary_in_primitive_steps(poly):
     for i, e in enumerate(edge_data(poly)):
         assert e.tail_index == i and e.lattice_length > 0
         assert math.gcd(e.direction.x, e.direction.y) == 1
-        assert e.inward_normal == e.direction.rotate_left()
+        assert e.inward_normal == IntVec2(-e.direction.y, e.direction.x)
         step = RatVec2(e.direction.x * e.lattice_length, e.direction.y * e.lattice_length)
         assert pts[i] + step == pts[(i + 1) % len(pts)]
 
@@ -330,3 +332,21 @@ def test_copies_of_polygons_with_unread_vertices_are_equal(poly, t, params):
         for copied in copies:
             assert copied == built and copied.input_reversed == built.input_reversed
             assert repr(copied) == repr(built) and hash(copied) == hash(built)
+
+
+@settings(max_examples=200)
+@given(st.one_of(hull_polygons(), corner_cut_polygons(cuts=60)), unimodular_affines(),
+       valid_params())
+def test_edge_data_built_on_first_read_is_the_reference(poly, t, params):
+    """Polygons keep their edges as int tuples; ``edge_data`` builds the
+    records on its first call.  For the constructor, ``apply_map`` and
+    ``standard_trapezoid`` they are the reference records derived from the
+    vertices, down to the ``repr``, and copies made before the first call
+    build the same records."""
+    for built in (Polygon(poly.vertices), apply_map(poly, t), standard_trapezoid(params)):
+        assert "_edge_data" not in vars(built)
+        copies = [pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)]
+        edges = edge_data(built)
+        assert repr(edges) == repr(reference_edge_data(ReferencePolygon(built.vertices)))
+        for copied in copies:
+            assert copied == built and repr(edge_data(copied)) == repr(edges)

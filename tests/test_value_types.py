@@ -39,7 +39,7 @@ from delzant.errors import (
     InvalidParamsError,
     NotUnimodularError,
 )
-from delzant.lattice import mat_inverse_unimodular
+from reference_polygons import mat_inverse_unimodular
 
 TRIANGLE = ((0, 0), (1, 0), (0, 1))
 TRIANGLE_REPR = (
