@@ -24,7 +24,6 @@ from .circle_actions import (
     check_extendable,
     circle_graph,
     fixed_point_data,
-    flip_graph,
     graphs_isomorphic,
 )
 from .errors import DelzantError
@@ -50,7 +49,6 @@ from .lattice import (
     RatVec2,
     UnimodularAffine,
     det2,
-    primitive,
 )
 from .polygon import (
     DelzantReport,

@@ -21,12 +21,15 @@ edge:
 ``circle_graph`` orders the nodes without a sort, by merging the two
 chains of vertices along which the moment rises from the minimum, one
 each way round the boundary.  Graph values are checked only by the
-public constructors of the graph types, which ``jsonio`` decodes and
-``flip_graph`` builds through; ``circle_graph`` builds values that are
-valid by construction and skips the checks.
+public constructors of the graph types, which ``jsonio`` decodes
+through; ``circle_graph`` builds values that are valid by construction
+and skips the checks.
 
 Two graphs are isomorphic when they match node-for-node and
 edge-for-edge after translating both moment scales to start at 0.
+Reversing xi gives the same circle subgroup; its graph, the flip,
+negates every moment and weight and swaps the ends of every edge, and
+``graphs_isomorphic`` compares up to the flip without building it.
 
 Node moments stay ``Fraction``s, but the graph algorithms compare them
 as reduced (numerator, denominator) int pairs, by cross products.  A
@@ -53,7 +56,7 @@ from .errors import (
     NonPrimitiveDirectionError,
     NotDelzantError,
 )
-from .lattice import IntVec2, _as_tuple, _Value, as_rational, is_int, primitive
+from .lattice import IntVec2, _as_tuple, _Value, as_rational, is_int
 from .polygon import Polygon, _delzant_failures
 
 
@@ -70,7 +73,7 @@ class CircleDirection(_Value):
     def __init__(self, xi: IntVec2):
         if not isinstance(xi, IntVec2):
             xi = IntVec2(*xi)
-        if xi.is_zero() or primitive(xi) != xi:
+        if gcd(xi.x, xi.y) != 1:
             raise NonPrimitiveDirectionError(f"direction {(xi.x, xi.y)} is not primitive")
         self.__dict__.update(xi=xi)
 
@@ -269,7 +272,7 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
     """Node- and edge-preserving equality after translating moments to 0.
 
     With ``up_to_flip`` the comparison also tries g2 with the circle
-    direction reversed, without building ``flip_graph(g2)``.  g1's labels
+    direction reversed, without building that flipped graph.  g1's labels
     and both graphs' edge orders serve both tries: a flipped node's label
     holds the greatest moment minus its own and the weights (a, b) as
     (-b, -a), and flipping swaps the ends of every edge, which leaves the
@@ -300,22 +303,6 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
     return up_to_flip and _isomorphic_labelled(labels1, orders1, _node_labels(g2, True), orders2)
 
 
-def flip_graph(g: LabeledGraph) -> LabeledGraph:
-    """The graph of the reversed circle direction: negate moments and
-    weights, and swap the ends of every edge."""
-    nodes = tuple(
-        IsolatedPoint(-n.moment, (-n.weights[1], -n.weights[0]))
-        if isinstance(n, IsolatedPoint) else FatVertex(-n.moment, n.area, n.genus)
-        for n in g.nodes
-    )
-    edges = tuple(
-        ZkEdge(e.k, (e.endpoints[1], e.endpoints[0]),
-               (-e.moment_interval[1], -e.moment_interval[0]))
-        for e in g.edges
-    )
-    return LabeledGraph(nodes, edges)
-
-
 def _edge_orders(g: LabeledGraph) -> list[dict[int, list[int]]]:
     """For every node, its neighbours mapped to the sorted orders k of the
     Z_k edges joining them; the edges are sorted by k once."""
@@ -328,7 +315,8 @@ def _edge_orders(g: LabeledGraph) -> list[dict[int, list[int]]]:
 
 def _node_labels(g: LabeledGraph, flipped: bool = False) -> list[tuple]:
     """Each node's label, with its moment translated to start at 0 as a
-    reduced int pair; ``flipped`` labels the graph of ``flip_graph(g)``."""
+    reduced int pair; ``flipped`` labels the flip of g, the graph of the
+    reversed direction, whose moments and weights are negated."""
     pairs, lo, hi = _moment_pairs(g.nodes)
     (base, base_den), sign = (hi, -1) if flipped else (lo, 1)
     labels = []

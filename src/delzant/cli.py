@@ -221,7 +221,7 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     parser = _build_parser()
     try:
-        with contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -13,12 +13,6 @@ class DelzantError(ValueError):
     code = "domain_error"
 
 
-class DegenerateDirectionError(DelzantError):
-    """The zero vector has no primitive representative."""
-
-    code = "degenerate_direction"
-
-
 class NotUnimodularError(DelzantError):
     """Linear part of an affine lattice map must have determinant +1 or -1."""
 

@@ -185,6 +185,9 @@ def graph_to_json(g: LabeledGraph) -> dict:
 
 
 def graph_from_json(data) -> LabeledGraph:
+    """Decode a graph.  Integers are checked here, so that a wrong-typed
+    field is ``bad_format``, and again by the constructors, whose checks
+    are the library's ``invalid_graph`` contract."""
     _object_from_json(data, "graph", "nodes")
     parsed: dict[str, Fraction] = {}  # each text is parsed once
 

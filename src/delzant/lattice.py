@@ -14,12 +14,11 @@ stay integral.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import DegenerateDirectionError, FormatError, NotRationalError, NotUnimodularError
+from .errors import FormatError, NotRationalError, NotUnimodularError
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -146,12 +145,6 @@ class IntVec2(_Value):
             raise TypeError("IntVec2 entries must be integers")
         self.__dict__.update(x=x, y=y)
 
-    def __neg__(self) -> "IntVec2":
-        return IntVec2(-self.x, -self.y)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
 
 class RatVec2(_Value):
     """Point of the rational plane; also used for translations."""
@@ -169,17 +162,6 @@ class RatVec2(_Value):
 
     def __neg__(self) -> "RatVec2":
         return RatVec2(-self.x, -self.y)
-
-
-def primitive(v: IntVec2) -> IntVec2:
-    """Divide out the gcd of the entries; direction is preserved.
-
-    Raises on the zero vector, which points nowhere.
-    """
-    if v.is_zero():
-        raise DegenerateDirectionError("degenerate direction: zero vector has no primitive form")
-    g = math.gcd(v.x, v.y)
-    return IntVec2(v.x // g, v.y // g)
 
 
 def det2(u: IntVec2, w: IntVec2) -> int:

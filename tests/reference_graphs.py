@@ -9,6 +9,10 @@ label-preserving node permutation is tried with the edges compared only
 at the end.  They are slow (quadratic and exponential) but obviously
 correct, and the agreement tests compare the library against them on
 seeded random polygons and graphs.
+
+``flip_graph`` builds the graph of the reversed circle direction through
+the public constructors; the library compares up to that flip from its
+node labels, without building the flipped graph.
 """
 
 from itertools import permutations
@@ -24,7 +28,6 @@ from delzant import (
     Violation,
     ZkEdge,
     edge_data,
-    flip_graph,
     is_delzant,
 )
 from delzant.circle_actions import GraphNode
@@ -74,7 +77,8 @@ def reference_circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) 
             node_of_vertex[i] = len(nodes) - 1
             node_of_vertex[(i + 1) % n] = len(nodes) - 1
         else:
-            away = (edges[i].direction, -edges[(i - 1) % n].direction)
+            back = edges[(i - 1) % n].direction
+            away = (edges[i].direction, IntVec2(-back.x, -back.y))
             nodes.append(IsolatedPoint(moments[i], (_dot(xi, away[0]), _dot(xi, away[1]))))
             node_of_vertex[i] = len(nodes) - 1
 
@@ -172,6 +176,22 @@ def reference_isomorphic_translated(g1: LabeledGraph, g2: LabeledGraph) -> bool:
         return False
 
     return assign(0, {})
+
+
+def flip_graph(g: LabeledGraph) -> LabeledGraph:
+    """The graph of the reversed circle direction: negate moments and
+    weights, and swap the ends of every edge."""
+    nodes = tuple(
+        IsolatedPoint(-n.moment, (-n.weights[1], -n.weights[0]))
+        if isinstance(n, IsolatedPoint) else FatVertex(-n.moment, n.area, n.genus)
+        for n in g.nodes
+    )
+    edges = tuple(
+        ZkEdge(e.k, (e.endpoints[1], e.endpoints[0]),
+               (-e.moment_interval[1], -e.moment_interval[0]))
+        for e in g.edges
+    )
+    return LabeledGraph(nodes, edges)
 
 
 def reference_graphs_isomorphic(g1, g2, up_to_flip=False) -> bool:

@@ -41,7 +41,7 @@ from delzant.errors import (
     RepeatedVertexError,
     TooFewVerticesError,
 )
-from delzant.lattice import Mat2, RatVec2, mat_det, primitive, solve_mat2
+from delzant.lattice import Mat2, RatVec2, mat_det, solve_mat2
 from delzant.polygon import EdgeData
 
 
@@ -252,7 +252,9 @@ class ReferencePolygon:
 
 def _primitive_direction(delta: RatVec2) -> IntVec2:
     scale = math.lcm(delta.x.denominator, delta.y.denominator)
-    return primitive(IntVec2(int(delta.x * scale), int(delta.y * scale)))
+    x, y = int(delta.x * scale), int(delta.y * scale)
+    g = math.gcd(x, y)
+    return IntVec2(x // g, y // g)
 
 
 def reference_edge_data(poly: ReferencePolygon) -> tuple[EdgeData, ...]:

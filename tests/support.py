@@ -5,12 +5,13 @@ Every test that samples fixes its own ``random.Random`` seed so runs are
 reproducible; these helpers only build values, they never assert.
 """
 
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from delzant import HirzebruchParams, IntVec2, RatVec2, UnimodularAffine, primitive
+from delzant import HirzebruchParams, IntVec2, RatVec2, UnimodularAffine
 
 
 def rand_rational(rng: Random, lo: int = 1, hi: int = 20, max_den: int = 12) -> Fraction:
@@ -45,13 +46,8 @@ def rand_params(rng: Random, max_m: int = 8) -> HirzebruchParams:
 
 def primitive_directions(bound: int = 3) -> list[IntVec2]:
     """All primitive integer vectors with entries in [-bound, bound]."""
-    out = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            v = IntVec2(x, y)
-            if not v.is_zero() and primitive(v) == v:
-                out.append(v)
-    return out
+    return [IntVec2(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
+            if math.gcd(x, y) == 1]
 
 
 ROOT = Path(__file__).resolve().parent.parent

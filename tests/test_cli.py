@@ -206,6 +206,13 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_goes_to_the_given_stdout(argv, capsys):
+    code, out, err = invoke(argv)
+    assert code == 0 and out.startswith("usage: delzant") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
 def test_outputs_reparse_to_same_value(tmp_path):
     # round-trip stability: emitted JSON parses back to an equal payload
     path = write(tmp_path, "t.json", TRAPEZOID)

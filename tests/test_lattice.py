@@ -6,10 +6,10 @@ from random import Random
 
 import pytest
 
-from delzant import CircleDirection, IntVec2, RatVec2, UnimodularAffine, det2, primitive
+from delzant import CircleDirection, IntVec2, RatVec2, UnimodularAffine, det2
 from delzant.errors import (
-    DegenerateDirectionError,
     DelzantError,
+    NonPrimitiveDirectionError,
     NotRationalError,
     NotUnimodularError,
 )
@@ -63,21 +63,33 @@ def test_as_rational_raises_a_package_error_for_other_types(value):
     ],
 )
 def test_primitive(vec, expected):
-    assert primitive(IntVec2(*vec)) == IntVec2(*expected)
+    """``CircleDirection`` accepts the primitive vector and rejects its multiple."""
+    assert CircleDirection(IntVec2(*expected)).xi == IntVec2(*expected)
+    with pytest.raises(NonPrimitiveDirectionError):
+        CircleDirection(IntVec2(*vec))
 
 
 def test_primitive_rejects_zero():
-    with pytest.raises(DegenerateDirectionError):
-        primitive(IntVec2(0, 0))
+    with pytest.raises(NonPrimitiveDirectionError, match=r"^direction \(0, 0\) is not primitive$"):
+        CircleDirection(IntVec2(0, 0))
 
 
 def test_primitive_idempotent():
+    """``CircleDirection`` accepts a vector exactly when the gcd of its entries
+    is 1, and always accepts it divided by that gcd."""
     rng = Random(1)
     for _ in range(100):
         v = IntVec2(rng.randint(-50, 50), rng.randint(-50, 50))
-        if v.is_zero():
+        g = math.gcd(v.x, v.y)
+        if g == 0:
             continue
-        assert primitive(primitive(v)) == primitive(v)
+        if g == 1:
+            assert CircleDirection(v).xi == v
+        else:
+            with pytest.raises(NonPrimitiveDirectionError):
+                CircleDirection(v)
+        reduced = IntVec2(v.x // g, v.y // g)
+        assert CircleDirection(reduced).xi == reduced
 
 
 @pytest.mark.parametrize(

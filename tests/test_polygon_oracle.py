@@ -7,6 +7,7 @@ from random import Random
 
 from delzant import (
     HirzebruchParams,
+    IntVec2,
     Polygon,
     RatVec2,
     UnimodularAffine,
@@ -253,7 +254,9 @@ def check_direction_solve(p1: Polygon, p2: Polygon) -> list[int]:
     for orientation in (1, -1):
         for offset in range(n):
             match = [(offset + orientation * i) % n for i in range(n)]
-            t = [e2[j].direction if orientation > 0 else -e2[j].direction for j in match]
+            t = [e2[j].direction for j in match]
+            if orientation < 0:
+                t = [IntVec2(-v.x, -v.y) for v in t]
             if any(
                 e1[i].lattice_length != e2[match[i]].lattice_length
                 or orientation * det2(d[i], d[(i + 1) % n]) != det2(t[i], t[(i + 1) % n])
