@@ -48,7 +48,6 @@ from .lattice import (
     IntVec2,
     RatVec2,
     UnimodularAffine,
-    det2,
 )
 from .polygon import (
     DelzantReport,

@@ -72,7 +72,9 @@ class CircleDirection(_Value):
 
     def __init__(self, xi: IntVec2):
         if not isinstance(xi, IntVec2):
-            xi = IntVec2(*xi)
+            if (pair := _as_tuple(xi, 2)) is None:
+                raise NonPrimitiveDirectionError(f"direction {xi!r} is not a pair of integers")
+            xi = IntVec2(*pair)
         if gcd(xi.x, xi.y) != 1:
             raise NonPrimitiveDirectionError(f"direction {(xi.x, xi.y)} is not primitive")
         self.__dict__.update(xi=xi)

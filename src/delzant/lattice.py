@@ -8,8 +8,7 @@ geometric dichotomies downstream (determinant exactly 1, strict rational
 inequalities) are meaningless under rounding.
 
 A 2x2 integer matrix is a pair of rows ``((a, b), (c, d))``.  The only
-matrices that occur are unimodular (determinant +1 or -1), so inverses
-stay integral.
+matrices that occur are unimodular (determinant +1 or -1).
 """
 
 from __future__ import annotations
@@ -98,9 +97,11 @@ class _Value:
     A subclass lists its field names, in order, in ``_fields``: ``repr``
     shows them all, and equality and hashing use the field tuple, or the
     narrower ``_compared`` tuple when the class sets one.  Values of
-    different classes are never equal.  The subclass's ``__init__``
-    validates its arguments and then stores every field at once with
-    ``self.__dict__.update``, which is cheaper than one
+    different classes are never equal.  An input type's ``__init__``
+    validates its arguments; the result records (``EdgeData``,
+    ``DelzantReport``, ``Violation``, ``ExtendabilityReport``) store what
+    they are given.  Either way ``__init__`` stores every field at once
+    with ``self.__dict__.update``, which is cheaper than one
     ``object.__setattr__`` call per field; after that, assignment and
     deletion raise ``AttributeError``.  A builder whose values are valid by
     construction skips the checks: ``object.__new__(cls)``, then the same
@@ -164,33 +165,6 @@ class RatVec2(_Value):
         return RatVec2(-self.x, -self.y)
 
 
-def det2(u: IntVec2, w: IntVec2) -> int:
-    return u.x * w.y - u.y * w.x
-
-
-def mat_det(m: Mat2) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def solve_mat2(src: tuple[IntVec2, IntVec2], dst: tuple[IntVec2, IntVec2]) -> Mat2 | None:
-    """Unique matrix S with S*src[0] = dst[0] and S*src[1] = dst[1].
-
-    The source pair must be independent: every caller passes two
-    consecutive edge directions or normals of a strictly convex polygon.
-    Solved over the rationals; returns None when the solution is not an
-    integer matrix.
-    """
-    d = det2(src[0], src[1])
-    # S = [dst0 dst1] * [src0 src1]^{-1}, with the column inverse expanded by hand
-    a = dst[0].x * src[1].y - dst[1].x * src[0].y
-    b = dst[1].x * src[0].x - dst[0].x * src[1].x
-    c = dst[0].y * src[1].y - dst[1].y * src[0].y
-    e = dst[1].y * src[0].x - dst[0].y * src[1].x
-    if any(t % d for t in (a, b, c, e)):
-        return None
-    return ((a // d, b // d), (c // d, e // d))
-
-
 class UnimodularAffine(_Value):
     """Affine map x -> R x + v with R an integer matrix of determinant +1 or -1.
 
@@ -208,8 +182,9 @@ class UnimodularAffine(_Value):
             raise NotUnimodularError("linear part must be a 2x2 integer matrix")
         if not all(is_int(e) for row in lin for e in row):
             raise NotUnimodularError(f"linear part {lin} must have integer entries")
-        if mat_det(lin) not in (1, -1):
-            raise NotUnimodularError(f"linear part {lin} has determinant {mat_det(lin)}")
+        (a, b), (c, d) = lin
+        if (det := a * d - b * c) not in (1, -1):
+            raise NotUnimodularError(f"linear part {lin} has determinant {det}")
         if not isinstance(translation, RatVec2):
             pair = _as_tuple(translation, 2)
             if pair is None:

@@ -60,7 +60,6 @@ from .lattice import (
     UnimodularAffine,
     _as_tuple,
     _Value,
-    solve_mat2,
 )
 
 
@@ -305,10 +304,12 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
         return None
     word1 = _invariant_word(p1)
     word2 = _invariant_word(p2)
-    src = tuple(IntVec2(dx, dy) for dx, dy, _ in p1._edges[:2])
+    (x0, y0, _), (x1, y1, _) = p1._edges[:2]
+    det = x0 * y1 - y0 * x1  # nonzero: two consecutive edges of a strictly convex polygon
     d2 = p2._edges
     for orientation in (1, -1):
         head = 1 if orientation < 0 else 0
+        scale = orientation * det  # dividing by it multiplies by the orientation, +1 or -1
         # entry k of the backwards word is entry -k of p2's word; doubled, so
         # every rotation is one slice
         cycle = (word2 if orientation > 0 else word2[:1] + word2[:0:-1]) * 2
@@ -318,8 +319,11 @@ def congruent(p1: Polygon, p2: Polygon) -> UnimodularAffine | None:
             if cycle[start] != word1[0] or cycle[start:start + 2 * n] != word1:
                 continue
             (a, b, _), (c, e, _) = d2[offset], d2[(offset + orientation) % n]
-            linear = solve_mat2(src, (IntVec2(orientation * a, orientation * b),
-                                      IntVec2(orientation * c, orientation * e)))
-            if linear is not None:
-                return _witness(linear, p1._pts[0], p2._pts[(offset + head) % n])
+            # R = [t_0 t_1] [d_0 d_1]^-1 with the inverse expanded by hand, for
+            # t_0 = orientation * (a, b) and t_1 = orientation * (c, e)
+            r00, r01 = a * y1 - c * y0, c * x0 - a * x1
+            r10, r11 = b * y1 - e * y0, e * x0 - b * x1
+            if not (r00 % det or r01 % det or r10 % det or r11 % det):
+                return _witness(((r00 // scale, r01 // scale), (r10 // scale, r11 // scale)),
+                                p1._pts[0], p2._pts[(offset + head) % n])
     return None

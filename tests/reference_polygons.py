@@ -14,8 +14,11 @@ constructor and edge data: convexity from Fraction cross products of the
 edge vectors, and every edge derived again, on each call, from the
 vertex differences.
 
-The 2x2 matrix helpers at the top, ``compose`` and ``rotate_left`` serve
-these oracles and the tests; the library itself needs none of them.
+The 2x2 helpers at the top (``det2``, ``solve_mat2`` and the ``mat_*``
+functions), ``compose`` and ``rotate_left`` serve these oracles and the
+tests; the library itself needs none of them.  ``congruent`` solves its
+witness inline on int tuples, so ``check_direction_solve`` checks its
+lemma against ``solve_mat2`` here, which the library does not run.
 """
 
 import math
@@ -41,8 +44,35 @@ from delzant.errors import (
     RepeatedVertexError,
     TooFewVerticesError,
 )
-from delzant.lattice import Mat2, RatVec2, mat_det, solve_mat2
+from delzant.lattice import Mat2, RatVec2
 from delzant.polygon import EdgeData
+
+
+def det2(u: IntVec2, w: IntVec2) -> int:
+    return u.x * w.y - u.y * w.x
+
+
+def mat_det(m: Mat2) -> int:
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def solve_mat2(src: tuple[IntVec2, IntVec2], dst: tuple[IntVec2, IntVec2]) -> Mat2 | None:
+    """Unique matrix S with S*src[0] = dst[0] and S*src[1] = dst[1].
+
+    The source pair must be independent: every caller passes two
+    consecutive edge directions or normals of a strictly convex polygon.
+    Solved over the rationals; returns None when the solution is not an
+    integer matrix.
+    """
+    d = det2(src[0], src[1])
+    # S = [dst0 dst1] * [src0 src1]^{-1}, with the column inverse expanded by hand
+    a = dst[0].x * src[1].y - dst[1].x * src[0].y
+    b = dst[1].x * src[0].x - dst[0].x * src[1].x
+    c = dst[0].y * src[1].y - dst[1].y * src[0].y
+    e = dst[1].y * src[0].x - dst[0].y * src[1].x
+    if any(t % d for t in (a, b, c, e)):
+        return None
+    return ((a // d, b // d), (c // d, e // d))
 
 
 def mat_vec(m: Mat2, v):

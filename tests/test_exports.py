@@ -125,6 +125,9 @@ REMOVED_NAMES = [
     "IntVec2.is_zero",
     "IntVec2.__neg__",
     "delzant.errors.DegenerateDirectionError",
+    "delzant.lattice.det2",
+    "delzant.lattice.mat_det",
+    "delzant.lattice.solve_mat2",
 ]
 
 

@@ -15,6 +15,7 @@ from delzant import (
     EdgeData,
     HirzebruchParams,
     IntersectionForm,
+    IntVec2,
     Polygon,
     RatVec2,
     SphereProduct,
@@ -207,6 +208,38 @@ def test_algorithms_build_no_edge_data_until_it_is_read(monkeypatch):
     # the report's normals are the cached records' normals
     assert is_delzant(images[3]).normals == tuple(e.inward_normal for e in edges)
     assert calls == len(ngon)
+
+
+def test_algorithms_build_no_intvec2(monkeypatch):
+    """Work counter: ``apply_map``, ``classify_quadrilateral``,
+    ``congruent`` and ``circle_graph`` read and solve on the polygons' int
+    tuples, so they build no ``IntVec2``, on a hit or a miss, at n = 4 and
+    at n = 64."""
+    trapezoid = standard_trapezoid(HirzebruchParams(Fraction(5, 2), 1, 3))
+    quad = make_polygon(apply_map(trapezoid, UnimodularAffine(((1, 2), (1, 1)), (3, 0))).vertices)
+    other_quad = standard_trapezoid(HirzebruchParams(Fraction(7, 2), 1, 1))
+    ngon = cut_corners(make_polygon([(0, 0), (81, 0), (81, 81), (0, 81)]), Random(5), 60)
+    other_ngon = cut_corners(make_polygon([(0, 0), (81, 0), (81, 81), (0, 81)]), Random(6), 60)
+    xi = IntVec2(1, 2)
+    calls = 0
+    init = IntVec2.__init__
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    monkeypatch.setattr(IntVec2, "__init__", counted)
+    images = [apply_map(poly, UnimodularAffine(linear, (1, Fraction(1, 3))))
+              for poly in (quad, ngon) for linear in (((2, 1), (1, 1)), ((1, 1), (1, 0)))]
+    params, _ = classify_quadrilateral(images[1])
+    assert congruent(quad, standard_trapezoid(params)) is not None
+    assert congruent(quad, other_quad) is None
+    assert congruent(images[2], images[3]) is not None
+    assert len(other_ngon) == len(ngon) and congruent(ngon, other_ngon) is None
+    for poly in (quad, ngon, *images):
+        circle_graph(poly, xi)
+    assert calls == 0
 
 
 def _assert_checked(params: HirzebruchParams):

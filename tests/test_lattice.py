@@ -6,16 +6,16 @@ from random import Random
 
 import pytest
 
-from delzant import CircleDirection, IntVec2, RatVec2, UnimodularAffine, det2
+from delzant import CircleDirection, IntVec2, RatVec2, UnimodularAffine
 from delzant.errors import (
     DelzantError,
     NonPrimitiveDirectionError,
     NotRationalError,
     NotUnimodularError,
 )
-from delzant.lattice import as_rational, mat_det
+from delzant.lattice import as_rational
 
-from reference_polygons import compose
+from reference_polygons import compose, det2, mat_det
 from support import rand_affine
 
 
@@ -150,9 +150,9 @@ def test_compose_acts_by_substitution_and_multiplies_determinants():
 
 
 def test_non_unimodular_rejected():
-    with pytest.raises(NotUnimodularError):
+    with pytest.raises(NotUnimodularError, match="has determinant 2"):
         UnimodularAffine(((2, 0), (0, 1)))
-    with pytest.raises(NotUnimodularError):
+    with pytest.raises(NotUnimodularError, match="has determinant 0"):
         UnimodularAffine(((1, 0), (0, 0)))
 
 

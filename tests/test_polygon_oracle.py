@@ -19,14 +19,16 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant.errors import DelzantError, NotDelzantError
-from delzant.lattice import det2, mat_det, solve_mat2
 
 from reference_polygons import (
     ReferencePolygon,
+    det2,
+    mat_det,
     mat_vec,
     reference_classify_quadrilateral,
     reference_congruent,
     reference_edge_data,
+    solve_mat2,
 )
 from support import rand_affine, rand_params, rand_rational
 

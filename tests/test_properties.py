@@ -35,10 +35,9 @@ from delzant import (
     standard_trapezoid,
 )
 from delzant.errors import DelzantError
-from delzant.lattice import mat_det
 
 from reference_graphs import flip_graph
-from reference_polygons import ReferencePolygon, mat_vec, reference_edge_data
+from reference_polygons import ReferencePolygon, mat_det, mat_vec, reference_edge_data
 from support import primitive_directions
 from test_polygon_oracle import check_direction_solve, convex_hull, cut_corners
 

@@ -214,6 +214,10 @@ def test_polygon_equality_ignores_input_reversed():
         pytest.param(make_polygon, (5,), FormatError, id="make-polygon-scalar"),
         pytest.param(FixedPointData, ((1, 2),), GraphError, id="fixed-data-int-components"),
         pytest.param(FixedPointData, (5,), GraphError, id="fixed-data-scalar"),
+        # a direction that is not a pair
+        pytest.param(CircleDirection, (5,), DelzantError, id="direction-scalar"),
+        pytest.param(CircleDirection, (None,), DelzantError, id="direction-none"),
+        pytest.param(CircleDirection, ((1, 2, 3),), DelzantError, id="direction-triple"),
     ],
 )
 def test_malformed_shapes_raise_package_errors(cls, args, error):
