@@ -29,7 +29,11 @@ Two graphs are isomorphic when they match node-for-node and
 edge-for-edge after translating both moment scales to start at 0.
 Reversing xi gives the same circle subgroup; its graph, the flip,
 negates every moment and weight and swaps the ends of every edge, and
-``graphs_isomorphic`` compares up to the flip without building it.
+``graphs_isomorphic`` compares up to the flip without building it.  It
+decides by individualisation-refinement: one colour refinement per step,
+and one branch per node of the class it individualises.  That is fast on
+the graphs ``circle_graph`` builds, but exponential in the worst case,
+on families where individualising a node splits little.
 
 Node moments stay ``Fraction``s, but the graph algorithms compare them
 as reduced (numerator, denominator) int pairs, by cross products.  A
@@ -46,7 +50,7 @@ strictly between the extrema meets more than two non-free orbits.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -285,17 +289,21 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
     denominator, which on pairwise coprime denominators grows with n).
     The labels are refined by the multiset of (k, neighbour label) over
     Z_k edges until the partition is stable (1-dimensional
-    Weisfeiler-Leman colour refinement), and the graphs are rejected
-    when the refined labels differ.  Otherwise a backtracking search
-    maps nodes within their refined classes, checking every edge as soon
-    as both of its endpoints are mapped.  With n nodes and E edges the
-    labels cost O(n), each refinement round O(n + E log E), there are at
-    most n rounds, and comparing the refined labels costs O(n log n).
-    The search branches only among nodes that refinement leaves tied;
-    graphs from ``circle_graph`` hold at most two nodes per moment
-    level, so few stay tied there, but on general graphs with many tied
-    nodes that refinement cannot tell apart the search can still take
-    exponential time.
+    Weisfeiler-Leman colour refinement), jointly on both graphs, and the
+    graphs are rejected when the refined labels differ.  Otherwise the
+    map pairing each class's nodes in index order is checked edge by
+    edge, and when it fails the first node of a tied class in g1 is
+    individualised against each node of that class in g2, each pair
+    refined again (McKay-Piperno individualisation-refinement, without
+    automorphism pruning).  With n nodes and E edges the labels cost
+    O(n), each refinement O(n) rounds of O(n + E log E), and each
+    candidate map O(n + E).  A step costs one refinement and opens one
+    branch per node of the individualised class, and every branch splits
+    a class, so no path is deeper than n.  Graphs from ``circle_graph``
+    hold at most two nodes per moment level and seldom branch.  No
+    polynomial bound holds in general: on families where individualising
+    a node splits little, such as Cai-Fuerer-Immerman graphs, the number
+    of branches grows exponentially with n.
     """
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
@@ -362,46 +370,27 @@ def _refined_colours(labels, orders) -> list[list[int]]:
 
 def _isomorphic_labelled(labels1, orders1, labels2, orders2) -> bool:
     """Whether two graphs of equally many nodes and edges, given as their
-    node labels and edge orders, match node-for-node and edge-for-edge."""
-    colours1, colours2 = _refined_colours((labels1, labels2), (orders1, orders2))
-    if sorted(colours1) != sorted(colours2):
-        return False
-
-    candidates: dict[int, list[int]] = defaultdict(list)
-    for j, c in enumerate(colours2):
-        candidates[c].append(j)
-    # forced (singleton) classes first, so the branching nodes meet the
-    # most already-mapped neighbours
-    order = sorted(range(len(labels1)), key=lambda i: (len(candidates[colours1[i]]), i))
-    image: list[int | None] = [None] * len(order)
-    taken = [False] * len(order)
-
-    # the graphs have equally many edges, so once every edge of g1 is matched
-    # with the same multiplicity, no edge of g2 is left over
-    def consistent(i: int, j: int) -> bool:
-        return all(image[u] is None or orders2[j].get(image[u]) == ks
-                   for u, ks in orders1[i].items())
-
-    # iterative backtracking: tried[pos] counts the candidates tried for order[pos]
-    tried = [0] * len(order)
-    pos = 0
-    while 0 <= pos < len(order):
-        i = order[pos]
-        if image[i] is not None:
-            taken[image[i]] = False
-            image[i] = None
-        options = candidates[colours1[i]]
-        while tried[pos] < len(options):
-            j = options[tried[pos]]
-            tried[pos] += 1
-            if not taken[j] and consistent(i, j):
-                image[i], taken[j] = j, True
-                pos += 1
-                break
-        else:
-            tried[pos] = 0
-            pos -= 1
-    return pos == len(order)
+    node labels and edge orders, match node-for-node and edge-for-edge;
+    the search keeps its label pairs on a stack, so it never recurses."""
+    stack = [(labels1, labels2)]
+    while stack:
+        colours1, colours2 = _refined_colours(stack.pop(), (orders1, orders2))
+        if sorted(colours1) != sorted(colours2):
+            continue
+        cells: dict[int, list[int]] = {}
+        for j, c in enumerate(colours2):
+            cells.setdefault(c, []).append(j)
+        ahead = {c: iter(js) for c, js in cells.items()}
+        image = [next(ahead[c]) for c in colours1]
+        if all({image[u]: ks for u, ks in nbrs.items()} == orders2[image[i]]
+               for i, nbrs in enumerate(orders1)):
+            return True
+        v = next((i for i, c in enumerate(colours1) if len(cells[c]) > 1), None)
+        if v is not None:
+            stack.extend(([(c, i == v) for i, c in enumerate(colours1)],
+                          [(c, j == w) for j, c in enumerate(colours2)])
+                         for w in cells[colours1[v]])
+    return False
 
 
 class IsolatedFixed(_Value):

@@ -28,7 +28,7 @@ from delzant import (
     make_polygon,
     standard_trapezoid,
 )
-from delzant import jsonio
+from delzant import circle_actions, jsonio
 from delzant.errors import (
     GraphError,
     InteriorFixedSurfaceError,
@@ -657,3 +657,87 @@ def test_isomorphism_search_separates_refinement_equivalent_graphs():
     rng = Random(38)
     for _ in range(20):
         assert graphs_isomorphic(mixed, _permuted(rng, mixed))
+
+
+def _bipartite_graph(matchings, orders) -> LabeledGraph:
+    """Two levels of tied points between a minimum and a maximum; for each
+    permutation ``m`` in ``matchings``, with its order k from ``orders``,
+    a Z_k edge joins lower point t to upper point m[t]."""
+    width = len(matchings[0])
+    nodes = [IsolatedPoint(0, (1, 1))]
+    nodes += [IsolatedPoint(level, (-1, 1)) for level in (1, 2) for _ in range(width)]
+    nodes.append(IsolatedPoint(3, (-1, -1)))
+    return LabeledGraph(tuple(nodes), tuple(
+        ZkEdge(k, (1 + t, 1 + width + m[t]), (1, 2))
+        for m, k in zip(matchings, orders) for t in range(width)))
+
+
+def _matchings(rng: Random, width: int, simple: bool) -> list[list[int]]:
+    """Three random permutations of ``width``; with ``simple``, no two of
+    them agree anywhere, so their union is a simple cubic graph."""
+    while True:
+        matchings = [rng.sample(range(width), width) for _ in range(3)]
+        if not simple or all(len(set(ends)) == 3 for ends in zip(*matchings)):
+            return matchings
+
+
+def _counted_refinements(monkeypatch) -> list:
+    calls = []
+    refine = circle_actions._refined_colours
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+    monkeypatch.setattr(circle_actions, "_refined_colours", counted)
+    return calls
+
+
+def test_isomorphism_search_refines_at_most_once_per_node(monkeypatch):
+    """Refinement alone splits none of these tied levels, so every answer
+    needs individualisation; each comparison still refines at most once
+    per node."""
+    rng = Random(39)
+    cases = []
+    for width in (8, 12):
+        mixed = _three_level_graph(width, 2)
+        cases += [(mixed, _three_level_graph(width, 0), False), (mixed, _permuted(rng, mixed), True)]
+    cubic = _bipartite_graph(_matchings(rng, 50, simple=True), (2, 2, 2))
+    cases.append((cubic, _permuted(rng, cubic), True))
+    calls = _counted_refinements(monkeypatch)
+    for g, h, expected in cases:
+        calls.clear()
+        assert graphs_isomorphic(g, h) == expected
+        assert 1 < len(calls) <= len(g.nodes)
+
+
+def test_agrees_with_reference_on_tied_bipartite_graphs(monkeypatch):
+    """Cubic multigraphs between two levels of four tied points, against a
+    permuted copy, a copy with two edge ends swapped (still cubic, so
+    refinement still ties every level) or another random graph, each
+    sometimes flipped."""
+    rng = Random(40)
+    calls = _counted_refinements(monkeypatch)
+    seen, branched = {True: 0, False: 0}, 0
+    for _ in range(150):
+        matchings, orders = _matchings(rng, 4, simple=False), rng.choices((2, 3), k=3)
+        g = _bipartite_graph(matchings, orders)
+        change = rng.random()
+        if change < 0.4:
+            h = _permuted(rng, g)
+        elif change < 0.7:
+            m = rng.choice(matchings)
+            s, t = rng.sample(range(4), 2)
+            m[s], m[t] = m[t], m[s]
+            h = _permuted(rng, _bipartite_graph(matchings, orders))
+        else:
+            h = _bipartite_graph(_matchings(rng, 4, simple=False), orders)
+        if rng.random() < 0.3:
+            h = flip_graph(h)
+        for up_to_flip in (False, True):
+            calls.clear()
+            answer = graphs_isomorphic(g, h, up_to_flip)
+            assert answer == reference_graphs_isomorphic(g, h, up_to_flip)
+            seen[answer] += 1
+            branched += len(calls) > 1
+    assert min(seen.values()) >= 50, seen
+    assert branched >= 50
