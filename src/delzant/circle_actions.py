@@ -370,11 +370,13 @@ def _refined_colours(labels, orders) -> list[list[int]]:
 
 def _isomorphic_labelled(labels1, orders1, labels2, orders2) -> bool:
     """Whether two graphs of equally many nodes and edges, given as their
-    node labels and edge orders, match node-for-node and edge-for-edge;
-    the search keeps its label pairs on a stack, so it never recurses."""
-    stack = [(labels1, labels2)]
+    node labels and edge orders, match node-for-node and edge-for-edge; the
+    stack holds colourings and the nodes to individualise (-1 for none)."""
+    stack = [(labels1, labels2, -1, -1)]
     while stack:
-        colours1, colours2 = _refined_colours(stack.pop(), (orders1, orders2))
+        c1, c2, v, w = stack.pop()  # siblings share c1, c2; labels are built here
+        pair = [(c, i == v) for i, c in enumerate(c1)], [(c, j == w) for j, c in enumerate(c2)]
+        colours1, colours2 = _refined_colours(pair, (orders1, orders2))
         if sorted(colours1) != sorted(colours2):
             continue
         cells: dict[int, list[int]] = {}
@@ -385,11 +387,9 @@ def _isomorphic_labelled(labels1, orders1, labels2, orders2) -> bool:
         if all({image[u]: ks for u, ks in nbrs.items()} == orders2[image[i]]
                for i, nbrs in enumerate(orders1)):
             return True
-        v = next((i for i, c in enumerate(colours1) if len(cells[c]) > 1), None)
-        if v is not None:
-            stack.extend(([(c, i == v) for i, c in enumerate(colours1)],
-                          [(c, j == w) for j, c in enumerate(colours2)])
-                         for w in cells[colours1[v]])
+        tied = next((i for i, c in enumerate(colours1) if len(cells[c]) > 1), None)
+        if tied is not None:
+            stack.extend((colours1, colours2, tied, j) for j in cells[colours1[tied]])
     return False
 
 

@@ -22,7 +22,7 @@ grammar.  Input that is not UTF-8 (files and stdin alike), JSON nested
 too deeply or holding a number too long to read, and rationals or
 ``--xi`` entries outside their grammars are ``bad_format``; a result
 with a number of more digits than the interpreter will print, integer
-or rational, is ``output_too_large``;
+or rational, is ``output_too_large``, with one detail naming the limit;
 ``betti`` given anything but a polygon with ``--xi`` or ``--fixed-data``
 alone, and ``congruent - -``, are ``domain_error``; any exception that
 is not a domain or I/O error is reported as ``internal_error``, never
@@ -232,9 +232,12 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     except OSError as exc:
         code, detail = "io_error", str(exc)
     except Exception as exc:  # a defect, or the interpreter's int-to-str digit limit
-        too_large = isinstance(exc, ValueError) and "for integer string conversion;" in str(exc)
-        code = "output_too_large" if too_large else "internal_error"
-        detail = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, ValueError) and "for integer string conversion;" in str(exc):
+            code, detail = "output_too_large", (
+                f"result has a number with more than {sys.get_int_max_str_digits()} digits, "
+                "the interpreter's limit for int-to-str conversion")
+        else:
+            code, detail = "internal_error", f"{type(exc).__name__}: {exc}"
     else:
         stdout.write(output if is_raw else output + "\n")
         return 0

@@ -89,9 +89,3 @@ class FormatError(DelzantError):
 class NotRationalError(DelzantError, TypeError):
     code = "not_rational"
 
-
-class OutputTooLargeError(DelzantError):
-    """A result has more digits than the interpreter will print
-    (``sys.get_int_max_str_digits()``)."""
-
-    code = "output_too_large"

@@ -6,9 +6,9 @@ Conventions shared by every payload:
     digits, q > 0; see ``lattice.as_rational``), never JSON floats;
   * integer lattice data (normals, weights, matrix entries, m, k, genus)
     are JSON integers;
-  * every emitted rational re-parses to the same ``Fraction``, and the
-    payloads the CLI reads (polygon, manifold, graph, fixed data) decode
-    as the schemas below show.
+  * every emitted rational is ``str(q)`` and re-parses to the same
+    ``Fraction`` (one too long to print raises ``ValueError``), and the
+    payloads the CLI reads decode as the schemas below show.
 
 Schemas:
 
@@ -46,7 +46,6 @@ as boxes, and each isotropy sphere is an undirected edge labeled "Z_k".
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .circle_actions import (
@@ -61,22 +60,10 @@ from .circle_actions import (
     SurfaceFixed,
     ZkEdge,
 )
-from .errors import FormatError, OutputTooLargeError
+from .errors import FormatError
 from .hirzebruch import BlowUp, HirzebruchParams, ManifoldClass, SphereProduct
 from .lattice import IntVec2, RatVec2, UnimodularAffine, as_integer, as_rational, is_int
 from .polygon import DelzantReport, Polygon, make_polygon
-
-
-def rational_to_json(q: Fraction) -> str:
-    """``str(q)``; ``OutputTooLargeError`` when the numerator or the
-    denominator has more digits than ``sys.get_int_max_str_digits()``."""
-    try:
-        return str(q)
-    except ValueError as exc:
-        raise OutputTooLargeError(
-            f"result has a number with more than {sys.get_int_max_str_digits()} digits, "
-            "the interpreter's limit for int-to-str conversion"
-        ) from exc
 
 
 def rational_from_json(value) -> Fraction:
@@ -111,7 +98,7 @@ def _list_from_json(value, what: str, length: int | None = None) -> list:
 
 
 def point_to_json(p: RatVec2) -> list[str]:
-    return [rational_to_json(p.x), rational_to_json(p.y)]
+    return [str(p.x), str(p.y)]
 
 
 def point_from_json(value) -> RatVec2:
@@ -139,7 +126,7 @@ def affine_to_json(t: UnimodularAffine) -> dict:
 
 
 def params_to_json(p: HirzebruchParams) -> dict:
-    return {"a": rational_to_json(p.a), "b": rational_to_json(p.b), "m": p.m}
+    return {"a": str(p.a), "b": str(p.b), "m": p.m}
 
 
 def manifold_from_json(data) -> ManifoldClass:
@@ -166,18 +153,18 @@ def graph_to_json(g: LabeledGraph) -> dict:
     nodes = []
     for n in g.nodes:
         if isinstance(n, IsolatedPoint):
-            nodes.append({"type": "isolated", "moment": rational_to_json(n.moment),
+            nodes.append({"type": "isolated", "moment": str(n.moment),
                           "weights": list(n.weights)})
         else:
-            nodes.append({"type": "surface", "moment": rational_to_json(n.moment),
-                          "area": rational_to_json(n.area), "genus": n.genus})
+            nodes.append({"type": "surface", "moment": str(n.moment),
+                          "area": str(n.area), "genus": n.genus})
     return {
         "nodes": nodes,
         "edges": [
             {
                 "k": e.k,
                 "endpoints": list(e.endpoints),
-                "interval": [rational_to_json(t) for t in e.moment_interval],
+                "interval": [str(t) for t in e.moment_interval],
             }
             for e in g.edges
         ],
@@ -244,7 +231,7 @@ def extendability_to_json(report: ExtendabilityReport) -> dict:
         "violations": [
             {
                 "kind": v.kind,
-                "moment": None if v.moment is None else rational_to_json(v.moment),
+                "moment": None if v.moment is None else str(v.moment),
                 "detail": v.detail,
             }
             for v in report.violations
@@ -269,12 +256,11 @@ def graph_to_dot(g: LabeledGraph) -> str:
     levels: dict[Fraction, list[str]] = {}  # moment -> node names, in first-seen order
     for i, node in enumerate(g.nodes):
         levels.setdefault(node.moment, []).append(f"n{i}")
-        moment = rational_to_json(node.moment)
         if isinstance(node, IsolatedPoint):
-            label = f"moment {moment}\\nweights {node.weights[0]}, {node.weights[1]}"
+            label = f"moment {node.moment!s}\\nweights {node.weights[0]}, {node.weights[1]}"
             shape = "circle"
         else:
-            label = f"moment {moment}\\narea {rational_to_json(node.area)}\\ngenus {node.genus}"
+            label = f"moment {node.moment!s}\\narea {node.area!s}\\ngenus {node.genus}"
             shape = "box"
         lines.append(f'  n{i} [shape={shape}, label="{label}"];')
     for same in levels.values():

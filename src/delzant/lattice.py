@@ -155,15 +155,6 @@ class RatVec2(_Value):
     def __init__(self, x: Fraction, y: Fraction):
         self.__dict__.update(x=as_rational(x), y=as_rational(y))
 
-    def __add__(self, other) -> "RatVec2":
-        return RatVec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other) -> "RatVec2":
-        return RatVec2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "RatVec2":
-        return RatVec2(-self.x, -self.y)
-
 
 class UnimodularAffine(_Value):
     """Affine map x -> R x + v with R an integer matrix of determinant +1 or -1.

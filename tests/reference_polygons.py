@@ -15,8 +15,9 @@ edge vectors, and every edge derived again, on each call, from the
 vertex differences.
 
 The 2x2 helpers at the top (``det2``, ``solve_mat2`` and the ``mat_*``
-functions), ``compose`` and ``rotate_left`` serve these oracles and the
-tests; the library itself needs none of them.  ``congruent`` solves its
+functions), the point sum and difference ``vec_add`` and ``vec_sub``,
+``compose`` and ``rotate_left`` serve these oracles and the tests; the
+library itself needs none of them.  ``congruent`` solves its
 witness inline on int tuples, so ``check_direction_solve`` checks its
 lemma against ``solve_mat2`` here, which the library does not run.
 """
@@ -80,6 +81,14 @@ def mat_vec(m: Mat2, v):
     return type(v)(m[0][0] * v.x + m[0][1] * v.y, m[1][0] * v.x + m[1][1] * v.y)
 
 
+def vec_add(p: RatVec2, q: RatVec2) -> RatVec2:
+    return RatVec2(p.x + q.x, p.y + q.y)
+
+
+def vec_sub(p: RatVec2, q: RatVec2) -> RatVec2:
+    return RatVec2(p.x - q.x, p.y - q.y)
+
+
 def mat_transpose(m: Mat2) -> Mat2:
     return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
 
@@ -98,7 +107,7 @@ def compose(t1: UnimodularAffine, t2: UnimodularAffine) -> UnimodularAffine:
     (a, b), (c, d) = t1.linear
     (e, f), (g, h) = t2.linear
     return UnimodularAffine(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)),
-                            mat_vec(t1.linear, t2.translation) + t1.translation)
+                            vec_add(mat_vec(t1.linear, t2.translation), t1.translation))
 
 
 def rotate_left(v: IntVec2) -> IntVec2:
@@ -139,7 +148,7 @@ def _candidate_transform(
     linear = mat_transpose(mat_inverse_unimodular(s))
     # tail of edge i maps to the tail (direct) or head (reversed) of its target
     image_of_v0 = p2.vertices[(offset + (1 if orientation < 0 else 0)) % n]
-    translation = image_of_v0 - mat_vec(linear, p1.vertices[0])
+    translation = vec_sub(image_of_v0, mat_vec(linear, p1.vertices[0]))
     transform = UnimodularAffine(linear, translation)
     if apply_map(p1, transform) == p2:
         return transform
@@ -261,7 +270,7 @@ class ReferencePolygon:
         crosses = []
         for i in range(n):
             a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-            crosses.append(_cross(b - a, c - b))
+            crosses.append(_cross(vec_sub(b, a), vec_sub(c, b)))
         for i, cr in enumerate(crosses):
             if cr == 0:
                 raise CollinearVerticesError((i + 1) % n)
@@ -293,7 +302,7 @@ def reference_edge_data(poly: ReferencePolygon) -> tuple[EdgeData, ...]:
     n = len(pts)
     out = []
     for i in range(n):
-        delta = pts[(i + 1) % n] - pts[i]
+        delta = vec_sub(pts[(i + 1) % n], pts[i])
         direction = _primitive_direction(delta)
         length = delta.x / direction.x if direction.x else delta.y / direction.y
         out.append(EdgeData(i, direction, rotate_left(direction), length))

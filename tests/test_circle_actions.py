@@ -1,6 +1,7 @@
 """Labeled graphs, Betti numbers, and the toric-extension criterion."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -708,6 +709,23 @@ def test_isomorphism_search_refines_at_most_once_per_node(monkeypatch):
         calls.clear()
         assert graphs_isomorphic(g, h) == expected
         assert 1 < len(calls) <= len(g.nodes)
+
+
+def test_isomorphism_search_holds_one_colouring_per_level():
+    """Individualising a level of 50 tied nodes pushes 50 branches.  They
+    share the one colouring they split, and each builds its own labels
+    only when it is popped, so the comparison's peak stays well under
+    what 50 pairs of label lists of 102 entries each would take."""
+    rng = Random(41)
+    cubic = _bipartite_graph(_matchings(rng, 50, simple=True), (2, 2, 2))
+    twin = _permuted(rng, cubic)
+    tracemalloc.start()
+    try:
+        assert graphs_isomorphic(cubic, twin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_agrees_with_reference_on_tied_bipartite_graphs(monkeypatch):

@@ -93,7 +93,11 @@ CASES = {
 # the text on stdin, where it is not empty
 STDIN = {"verify-long-integer": PADDED}
 # a part of the detail, where the code alone does not show the fault
+DIGIT_LIMIT = "digits, the interpreter's limit for int-to-str conversion"
 DETAILS = {
+    "digit-limit": DIGIT_LIMIT,
+    "count-tori-digit-limit": DIGIT_LIMIT,
+    "verify-digit-limit": DIGIT_LIMIT,
     "graph-digit-limit": "polygon is not Delzant at edges [0, 1]",
     "classify-digit-limit": "polygon is not Delzant at edges [",
     "verify-long-integer": "has a number too long to read",

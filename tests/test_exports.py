@@ -1,7 +1,7 @@
 """The package's two lists of public names, its imports and ``__all__``,
 stay in step, its modules hold no unused import or private name, every
-public name has a caller outside the tests, and the names the README
-lists as removed stay gone."""
+public name and method has a caller outside the tests, and the names the
+README lists as removed stay gone."""
 
 import ast
 import importlib
@@ -76,11 +76,31 @@ def test_modules_use_every_import_and_every_private_name():
     assert unreferenced == []
 
 
+# the special methods a class of the package may define, each with what calls
+# it: the interpreter looks them up for an operator, a builtin or pickle, so no
+# attribute read shows a caller; an operator such as ``__add__`` is not listed
+SPECIAL_METHODS = {
+    "__init__": "the class call, which builds and checks a value",
+    "__init_subclass__": "each class statement that subclasses _Value",
+    "__eq__": "== and !=, and every dict and set lookup",
+    "__hash__": "hash(), and every dict key and set member",
+    "__repr__": "repr(), and the value in an assertion's message",
+    "__setattr__": "an assignment to a field, which it refuses",
+    "__delattr__": "a deletion of a field, which it refuses",
+    "Polygon.__len__": "len(poly), the vertex count the algorithms loop over",
+    "_IndexedError.__reduce__": "pickle, which rebuilds the error from its index",
+    "NotDelzantError.__reduce__": "pickle, which rebuilds the error from its failures",
+}
+
+
 def test_every_public_name_has_a_caller():
     """Each public top-level name of a module other than ``__init__`` is
-    read (a name, an attribute or a ``from`` import) in a module of the
-    package other than ``__init__``, its own included, a demo or the
-    benchmark harness.  The tests, their oracles included, keep no name."""
+    read (a name, an attribute or a ``from`` import) in a program module:
+    one of the package other than ``__init__``, its own included, a demo
+    or the benchmark harness.  Each public method or property of a class
+    in the package is read as an attribute in a program module, and each
+    special method is one of ``SPECIAL_METHODS``.  The tests, their
+    oracles included, keep no name."""
     root = pathlib.Path(__file__).resolve().parents[1]
     modules = sorted(p for p in (root / "src" / "delzant").glob("*.py") if p.stem != "__init__")
     callers = [*modules, *sorted(root.glob("demos/*.py")), *sorted(root.glob("perfbench/*.py"))]
@@ -88,7 +108,24 @@ def test_every_public_name_has_a_caller():
     read = set().union(*map(_references, trees.values()))
     uncalled = [f"{path.stem}.{name}" for path in modules for name in _top_level_names(trees[path])
                 if not name.startswith("_") and name not in read]
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    special = []
+    for path in modules:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                name = method.name
+                if name.startswith("__"):
+                    special.append(name if name in SPECIAL_METHODS else f"{cls.name}.{name}")
+                elif not name.startswith("_") and name not in attributes:
+                    uncalled.append(f"{path.stem}.{cls.name}.{name}")
     assert uncalled == []
+    assert sorted(set(special) - set(SPECIAL_METHODS)) == []
+    assert sorted(set(SPECIAL_METHODS) - set(special)) == []  # no entry outlives its method
 
 
 # every dotted name in the README's "Removed names" section, as written there
@@ -128,6 +165,11 @@ REMOVED_NAMES = [
     "delzant.lattice.det2",
     "delzant.lattice.mat_det",
     "delzant.lattice.solve_mat2",
+    "RatVec2.__add__",
+    "RatVec2.__sub__",
+    "RatVec2.__neg__",
+    "delzant.jsonio.rational_to_json",
+    "delzant.errors.OutputTooLargeError",
 ]
 
 

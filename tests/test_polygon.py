@@ -30,6 +30,7 @@ from delzant.errors import (
     TooFewVerticesError,
 )
 
+from reference_polygons import vec_add, vec_sub
 from support import rand_affine, rand_params
 from test_polygon_oracle import convex_hull, cut_corners
 
@@ -223,14 +224,14 @@ def test_edge_vector_decomposition_and_closure():
         pts = poly.vertices
         total = RatVec2(0, 0)
         for e in edge_data(poly):
-            delta = pts[(e.tail_index + 1) % len(pts)] - pts[e.tail_index]
+            delta = vec_sub(pts[(e.tail_index + 1) % len(pts)], pts[e.tail_index])
             assert delta.x == e.lattice_length * e.direction.x
             assert delta.y == e.lattice_length * e.direction.y
             assert e.lattice_length > 0
             assert e.inward_normal == IntVec2(-e.direction.y, e.direction.x)
-            total = total + RatVec2(
+            total = vec_add(total, RatVec2(
                 e.lattice_length * e.inward_normal.x, e.lattice_length * e.inward_normal.y
-            )
+            ))
         assert total == RatVec2(0, 0)
 
 

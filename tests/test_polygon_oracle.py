@@ -29,6 +29,8 @@ from reference_polygons import (
     reference_congruent,
     reference_edge_data,
     solve_mat2,
+    vec_add,
+    vec_sub,
 )
 from support import rand_affine, rand_params, rand_rational
 
@@ -62,7 +64,7 @@ def cut_corner(poly: Polygon, j: int, size) -> Polygon:
     back = RatVec2(-before.direction.x * size, -before.direction.y * size)
     ahead = RatVec2(after.direction.x * size, after.direction.y * size)
     pts = list(poly.vertices)
-    pts[j:j + 1] = [v + back, v + ahead]
+    pts[j:j + 1] = [vec_add(v, back), vec_add(v, ahead)]
     return make_polygon(pts)
 
 
@@ -116,8 +118,8 @@ def d4_pair(rng: Random) -> tuple[Polygon, Polygon]:
     half = Fraction(1, 2)
     pts = list(poly.vertices)
     before, after = edges[i - 1].direction, edges[(i + 1) % n].direction
-    pts[i] -= RatVec2(half * before.x, half * before.y)
-    pts[(i + 1) % n] += RatVec2(half * after.x, half * after.y)
+    pts[i] = vec_sub(pts[i], RatVec2(half * before.x, half * before.y))
+    pts[(i + 1) % n] = vec_add(pts[(i + 1) % n], RatVec2(half * after.x, half * after.y))
     return poly, apply_map(make_polygon(pts), rand_affine(rng))
 
 
@@ -273,7 +275,8 @@ def check_direction_solve(p1: Polygon, p2: Polygon) -> list[int]:
             assert [mat_vec(linear, v) for v in d] == t, (p1, p2, offset, orientation)
             head = 1 if orientation < 0 else 0
             targets = [p2.vertices[(j + head) % n] for j in match]
-            transform = UnimodularAffine(linear, targets[0] - mat_vec(linear, p1.vertices[0]))
+            shift = vec_sub(targets[0], mat_vec(linear, p1.vertices[0]))
+            transform = UnimodularAffine(linear, shift)
             assert [transform.apply(v) for v in p1.vertices] == targets, (p1, p2, offset)
             checked.append(orientation)
     return checked

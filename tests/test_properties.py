@@ -37,7 +37,13 @@ from delzant import (
 from delzant.errors import DelzantError
 
 from reference_graphs import flip_graph
-from reference_polygons import ReferencePolygon, mat_det, mat_vec, reference_edge_data
+from reference_polygons import (
+    ReferencePolygon,
+    mat_det,
+    mat_vec,
+    reference_edge_data,
+    vec_add,
+)
 from support import primitive_directions
 from test_polygon_oracle import check_direction_solve, convex_hull, cut_corners
 
@@ -120,7 +126,7 @@ def test_edges_walk_the_boundary_in_primitive_steps(poly):
         assert math.gcd(e.direction.x, e.direction.y) == 1
         assert e.inward_normal == IntVec2(-e.direction.y, e.direction.x)
         step = RatVec2(e.direction.x * e.lattice_length, e.direction.y * e.lattice_length)
-        assert pts[i] + step == pts[(i + 1) % len(pts)]
+        assert vec_add(pts[i], step) == pts[(i + 1) % len(pts)]
 
 
 manifolds = st.one_of(
@@ -147,7 +153,7 @@ def test_classify_inverts_standard_trapezoid(params, transform):
 def test_apply_is_the_affine_formula(transform, x, y, tx, ty):
     transform = UnimodularAffine(transform.linear, RatVec2(tx, ty))
     p = RatVec2(x, y)
-    assert transform.apply(p) == mat_vec(transform.linear, p) + transform.translation
+    assert transform.apply(p) == vec_add(mat_vec(transform.linear, p), transform.translation)
 
 
 @given(convex_polygons(), unimodular_affines())
