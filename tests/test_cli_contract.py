@@ -92,8 +92,9 @@ CASES = {
 }
 # the text on stdin, where it is not empty
 STDIN = {"verify-long-integer": PADDED}
-# a part of the detail, where the code alone does not show the fault
+# the detail of every output_too_large, an integer's or a rational's
 DIGIT_LIMIT = "digits, the interpreter's limit for int-to-str conversion"
+# a part of the detail, where the code alone does not show the fault
 DETAILS = {
     "digit-limit": DIGIT_LIMIT,
     "count-tori-digit-limit": DIGIT_LIMIT,
