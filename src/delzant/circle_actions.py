@@ -31,14 +31,16 @@ Reversing xi gives the same circle subgroup; its graph, the flip,
 negates every moment and weight and swaps the ends of every edge, and
 ``graphs_isomorphic`` compares up to the flip without building it.  It
 decides by individualisation-refinement: one colour refinement per step,
-and one branch per node of the class it individualises.  That is fast on
-the graphs ``circle_graph`` builds, but exponential in the worst case,
-on families where individualising a node splits little.
+none where every node already has its own colour, and one branch per
+node of the class it individualises.  That is fast on the graphs
+``circle_graph`` builds, but exponential in the worst case, on families
+where individualising a node splits little.
 
-Node moments stay ``Fraction``s, but the graph algorithms compare them
-as reduced (numerator, denominator) int pairs, by cross products.  A
-common denominator is never formed: on pairwise coprime denominators it
-grows with every node, and the cost with it, quadratically in all.
+Node moments stay ``Fraction``s, but the graph algorithms, and the
+constructors' checks, compare them as reduced (numerator, denominator)
+int pairs, by cross products.  A common denominator is never formed: on
+pairwise coprime denominators it grows with every node, and the cost
+with it, quadratically in all.
 
 The graph determines the Betti numbers of the 4-manifold through the
 indices of the fixed components (twice the number of negative weights
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from .errors import (
@@ -91,10 +94,10 @@ class IsolatedPoint(_Value):
 
     def __init__(self, moment: Fraction, weights: tuple[int, int]):
         moment = as_rational(moment)
-        w = _as_tuple(weights, 2)
-        if w is None or not all(is_int(x) and x != 0 for x in w):
+        a, b = _as_tuple(weights, 2) or (0, 0)  # a value that is no pair fails as (0, 0)
+        if not (is_int(a) and a != 0 and is_int(b) and b != 0):
             raise GraphError(f"weights must be a pair of nonzero integers, got {weights!r}")
-        self.__dict__.update(moment=moment, weights=tuple(sorted(w)))
+        self.__dict__.update(moment=moment, weights=(a, b) if a <= b else (b, a))
 
 
 class FatVertex(_Value):
@@ -104,7 +107,7 @@ class FatVertex(_Value):
 
     def __init__(self, moment: Fraction, area: Fraction, genus: int = 0):
         moment, area = as_rational(moment), as_rational(area)
-        if area <= 0:
+        if area.numerator <= 0:  # the denominator is positive
             raise GraphError(f"fixed surface area must be positive, got {area}")
         if not is_int(genus) or genus < 0:
             raise GraphError(f"genus must be a nonnegative integer, got {genus!r}")
@@ -132,11 +135,12 @@ class ZkEdge(_Value):
             raise GraphError(
                 f"moment interval must be a pair of rationals, got {moment_interval!r}"
             )
-        lo, hi = map(as_rational, interval)
-        if not lo < hi:
+        lo, hi = as_rational(interval[0]), as_rational(interval[1])
+        (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if a * d >= c * b:  # not lo < hi, with positive denominators
             raise GraphError(f"moment interval must be increasing, got ({lo}, {hi})")
         ends = _as_tuple(endpoints, 2)
-        if ends is None or not all(is_int(i) for i in ends):
+        if ends is None or not (is_int(ends[0]) and is_int(ends[1])):
             raise GraphError(f"endpoints must be a pair of node indices, got {endpoints!r}")
         self.__dict__.update(k=k, endpoints=ends, moment_interval=(lo, hi))
 
@@ -295,15 +299,20 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
     edge, and when it fails the first node of a tied class in g1 is
     individualised against each node of that class in g2, each pair
     refined again (McKay-Piperno individualisation-refinement, without
-    automorphism pruning).  With n nodes and E edges the labels cost
-    O(n), each refinement O(n) rounds of O(n + E log E), and each
-    candidate map O(n + E).  A step costs one refinement and opens one
-    branch per node of the individualised class, and every branch splits
-    a class, so no path is deeper than n.  Graphs from ``circle_graph``
-    hold at most two nodes per moment level and seldom branch.  No
-    polynomial bound holds in general: on families where individualising
-    a node splits little, such as Cai-Fuerer-Immerman graphs, the number
-    of branches grows exponentially with n.
+    automorphism pruning).  A colouring of g1 in which every node has
+    its own colour is a leaf of that search: refinement could split
+    nothing, so it is skipped, and the one candidate map is checked
+    directly.  With n nodes and E edges the labels cost O(n), each
+    refinement O(n) rounds of O(n + E log E), and each candidate map
+    O(n + E).  A step costs at most one refinement and opens one branch
+    per node of the individualised class, and every branch splits a
+    class, so no path is deeper than n.  Graphs from ``circle_graph``
+    hold at most two nodes per moment level and seldom branch; where
+    every node label differs, as on most of them, the comparison runs no
+    refinement at all.  No polynomial bound holds in general: on
+    families where individualising a node splits little, such as
+    Cai-Fuerer-Immerman graphs, the number of branches grows
+    exponentially with n.
     """
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
@@ -371,12 +380,20 @@ def _refined_colours(labels, orders) -> list[list[int]]:
 def _isomorphic_labelled(labels1, orders1, labels2, orders2) -> bool:
     """Whether two graphs of equally many nodes and edges, given as their
     node labels and edge orders, match node-for-node and edge-for-edge; the
-    stack holds colourings and the nodes to individualise (-1 for none)."""
+    stack holds colourings and the nodes to individualise (-1 for none).
+    A colouring of g1 that is already discrete is not refined: refinement
+    cannot split a class of one node, and the one candidate map it leaves
+    is checked edge by edge anyway."""
     stack = [(labels1, labels2, -1, -1)]
     while stack:
         c1, c2, v, w = stack.pop()  # siblings share c1, c2; labels are built here
         pair = [(c, i == v) for i, c in enumerate(c1)], [(c, j == w) for j, c in enumerate(c2)]
-        colours1, colours2 = _refined_colours(pair, (orders1, orders2))
+        ids: dict = {}
+        colours1 = [ids.setdefault(lab, len(ids)) for lab in pair[0]]
+        if len(ids) < len(colours1):
+            colours1, colours2 = _refined_colours(pair, (orders1, orders2))
+        else:
+            colours2 = [ids.setdefault(lab, len(ids)) for lab in pair[1]]
         if sorted(colours1) != sorted(colours2):
             continue
         cells: dict[int, list[int]] = {}
@@ -505,6 +522,8 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
     between consecutive critical values, so checking the critical values
     and the midpoints between them decides every level.
 
+    The levels are ranked by sorting the nodes on their moments' reduced
+    int pairs, compared by cross products, so no ``Fraction`` is compared.
     One sweep over the sorted critical values keeps the number of
     spheres crossing the current level, so with n nodes and E edges the
     check costs O(n log n + E).
@@ -523,11 +542,18 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
     # every edge interval runs between the moments of its endpoint nodes (the
     # LabeledGraph constructor checks it, and circle_graph builds it so), so
     # the node moments are all the critical values
+    pairs = [node.moment.as_integer_ratio() for node in g.nodes]
+
+    def cross(i: int, j: int) -> int:  # the sign of moment i - moment j
+        return pairs[i][0] * pairs[j][1] - pairs[j][0] * pairs[i][1]
+
     critical: list[Fraction] = []
     node_rank = [0] * len(g.nodes)
-    for i in sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].moment):
-        if not critical or critical[-1] != g.nodes[i].moment:
+    last = None
+    for i in sorted(range(len(g.nodes)), key=cmp_to_key(cross)):
+        if pairs[i] != last:  # reduced pairs are equal exactly when the moments are
             critical.append(g.nodes[i].moment)
+            last = pairs[i]
         node_rank[i] = len(critical) - 1
     isolated = Counter(
         node_rank[i] for i, node in enumerate(g.nodes) if isinstance(node, IsolatedPoint)

@@ -15,6 +15,8 @@ Ten subcommands expose the library over JSON (rationals as strings, see
   extendable <polygon.json> --xi X,Y    toric-extension report
   form-autos --form NAME --bound N      automorphisms of an intersection form
 
+``delzant --version`` prints ``delzant <version>`` and exits 0.
+
 Polygon arguments are file paths, or "-" for stdin.  Exit codes: 0 on
 success, 1 on an error (JSON error object on stderr), 2 on a usage
 error, such as ``--m`` or ``--bound`` outside ``lattice.as_integer``'s
@@ -39,7 +41,7 @@ import json
 import os
 import sys
 
-from . import circle_actions, hirzebruch, jsonio, polygon
+from . import __version__, circle_actions, hirzebruch, jsonio, polygon
 from .errors import DelzantError, FormatError
 from .lattice import as_integer
 
@@ -104,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="delzant",
         description="Exact computations with Delzant polygons and Hirzebruch trapezoids.",
     )
+    parser.add_argument("--version", action="version", version=f"delzant {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the Delzant condition")

@@ -36,7 +36,11 @@ one of two messages:
 Decoding a graph builds it through the public constructors of the graph
 types, which check every value.  Each moment text is parsed once per
 graph, so an edge interval holds its endpoint nodes' own ``Fraction``s,
-which the graph's interval check matches by identity.
+which the graph's interval check matches by identity.  Two-entry values
+(weights, endpoints, intervals) are unpacked and checked entry by entry,
+and the constructors compare rationals as int pairs, so decoding makes
+no ``Fraction`` order comparison.  A decoded point stores the two
+``Fraction``s just parsed without ``RatVec2``'s second coercion.
 
 DOT output is deterministic: nodes appear in the graph's stored order
 (``circle_graph`` orders them by moment, ties by vertex index;
@@ -105,7 +109,10 @@ def point_from_json(value) -> RatVec2:
     # _list_from_json's check, inline: this runs once per polygon vertex
     if not (isinstance(value, list) and len(value) == 2):
         raise FormatError("point must be a list of 2 entries")
-    return RatVec2(rational_from_json(value[0]), rational_from_json(value[1]))
+    # the two Fractions were just parsed, so RatVec2's coercion is skipped
+    p = object.__new__(RatVec2)
+    p.__dict__.update(x=rational_from_json(value[0]), y=rational_from_json(value[1]))
+    return p
 
 
 def polygon_to_json(poly: Polygon) -> dict:
@@ -189,8 +196,9 @@ def graph_from_json(data) -> LabeledGraph:
         kind = _object_from_json(n, "graph node", "type", "moment")["type"]
         moment = rational(n["moment"])
         if kind == "isolated":
-            w = _list_from_json(n.get("weights"), "'weights'", 2)
-            nodes.append(IsolatedPoint(moment, tuple(_int_from_json(x, "weight") for x in w)))
+            a, b = _list_from_json(n.get("weights"), "'weights'", 2)
+            nodes.append(IsolatedPoint(moment, (_int_from_json(a, "weight"),
+                                                _int_from_json(b, "weight"))))
         elif kind == "surface":
             area = rational(_object_from_json(n, "surface node", "area")["area"])
             nodes.append(FatVertex(moment, area, _int_from_json(n.get("genus", 0), "'genus'")))
@@ -199,14 +207,11 @@ def graph_from_json(data) -> LabeledGraph:
     edges = []
     for e in _list_from_json(data.get("edges", []), "'edges'"):
         _object_from_json(e, "graph edge", "k", "endpoints", "interval")
-        edges.append(
-            ZkEdge(
-                _int_from_json(e["k"], "'k'"),
-                tuple(_int_from_json(i, "endpoint index")
-                      for i in _list_from_json(e["endpoints"], "'endpoints'", 2)),
-                tuple(rational(t) for t in _list_from_json(e["interval"], "'interval'", 2)),
-            )
-        )
+        k = _int_from_json(e["k"], "'k'")
+        i, j = _list_from_json(e["endpoints"], "'endpoints'", 2)
+        ends = (_int_from_json(i, "endpoint index"), _int_from_json(j, "endpoint index"))
+        lo, hi = _list_from_json(e["interval"], "'interval'", 2)
+        edges.append(ZkEdge(k, ends, (rational(lo), rational(hi))))
     return LabeledGraph(tuple(nodes), tuple(edges))
 
 

@@ -30,7 +30,8 @@ _INTEGER = re.compile(r"-?\d+", re.ASCII)
 
 def is_int(value) -> bool:
     """True for a Python ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    # the exact type first: it is the common case, and one check
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def as_integer(text: str) -> int:

@@ -357,20 +357,25 @@ def test_weights_sorted_on_construction():
 WEIGHT_POOL = ((1, 1), (-1, 1), (-1, 2), (-2, 1), (-1, -1))
 
 
-def _random_graph(rng: Random) -> LabeledGraph:
+def _random_graph(rng: Random, discrete: bool = False) -> LabeledGraph:
     """Small labeled graph with crowded levels, tied labels, positive genus
-    and Z_k edges sharing endpoints; nodes are stored in random order."""
+    and Z_k edges sharing endpoints; nodes are stored in random order.
+    With ``discrete``, a node equal to one already on its level is left
+    out, so that every node label differs."""
     moments = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                       for _ in range(rng.randint(1, 6))})
     nodes = []
     for r, moment in enumerate(moments):
         crowd = 1 if r in (0, len(moments) - 1) else rng.choice((1, 2, 3, 3, 4))
+        level = len(nodes)
         for _ in range(crowd):
             if rng.random() < 0.75:
-                nodes.append(IsolatedPoint(moment, rng.choice(WEIGHT_POOL)))
+                node = IsolatedPoint(moment, rng.choice(WEIGHT_POOL))
             else:
-                nodes.append(FatVertex(moment, rng.choice((1, 2, Fraction(1, 2))),
-                                       rng.choice((0, 0, 1, 2))))
+                node = FatVertex(moment, rng.choice((1, 2, Fraction(1, 2))),
+                                 rng.choice((0, 0, 1, 2)))
+            if not (discrete and node in nodes[level:]):
+                nodes.append(node)
     rng.shuffle(nodes)
     # edges drawn from a few hub nodes, so endpoints are often shared
     hubs = rng.sample(range(len(nodes)), min(len(nodes), rng.randint(2, 5)))
@@ -456,11 +461,15 @@ def _mixed_denominator_cases(rng: Random, g: LabeledGraph):
 
 
 def test_agrees_with_reference_on_random_graphs():
+    """10,000 random graphs, then 2,000 whose node labels all differ, so
+    that no refinement runs; each against a relabelled copy (permuted, and
+    sometimes with an edge end moved, a k changed or a weight changed)."""
     rng, mix = Random(36), Random(37)
     seen = {"violations": 0, "isomorphic": 0, "flipped": 0, "different": 0}
+    discrete = {"isomorphic": 0, "flipped": 0, "different": 0, "edges-different": 0}
     mixed = {"translate": 0, "flip": 0, "twin": 0, "twin-different": 0}
-    for step in range(10_000):
-        g = _random_graph(rng)
+    for step in range(12_000):
+        g = _random_graph(rng, discrete=step >= 10_000)
         report = check_extendable(g)
         assert repr(report) == repr(reference_check_extendable(g))
         seen["violations"] += not report.extendable
@@ -469,7 +478,15 @@ def test_agrees_with_reference_on_random_graphs():
         flipped = graphs_isomorphic(g, h, up_to_flip=True)
         assert plain == reference_graphs_isomorphic(g, h)
         assert flipped == reference_graphs_isomorphic(g, h, up_to_flip=True)
-        seen["isomorphic" if plain else "flipped" if flipped else "different"] += 1
+        answer = "isomorphic" if plain else "flipped" if flipped else "different"
+        seen[answer] += 1
+        if step >= 10_000:
+            labels = circle_actions._node_labels(g)
+            assert len(set(labels)) == len(labels)
+            discrete[answer] += 1
+            # the labels match, so only the check of the one candidate map rejects
+            discrete["edges-different"] += (
+                not plain and sorted(labels) == sorted(circle_actions._node_labels(h)))
         # moments whose denominators share no prime with g's, on every other graph
         for kind, h in _mixed_denominator_cases(mix, g) if step % 2 == 0 else ():
             plain = graphs_isomorphic(g, h)
@@ -479,14 +496,16 @@ def test_agrees_with_reference_on_random_graphs():
             mixed["twin-different"] += kind == "twin" and not plain
     # the corpus exercises every outcome, not just the easy ones
     assert min(seen.values()) >= 500, seen
+    assert min(discrete.values()) >= 100, discrete
     assert min(mixed.values()) >= 500, mixed
 
 
 def test_graph_algorithms_make_no_fraction_order_comparison(monkeypatch):
     """Moments are compared as reduced int pairs: building, comparing (up
-    to the flip too) and indexing a graph calls no ``Fraction`` order
-    operator, subtraction or negation, and decoding one calls only the
-    value checks of ``ZkEdge`` (lo < hi) and ``FatVertex`` (area <= 0)."""
+    to the flip too), indexing, decoding and checking a graph calls no
+    ``Fraction`` order operator, subtraction or negation; ``ZkEdge``
+    (lo < hi) and ``FatVertex`` (area <= 0) check their values on the
+    pairs too."""
     poly = cut_corners(standard_trapezoid(HirzebruchParams(3, 1, 1)), Random(5), 252)
     g = circle_graph(poly, IntVec2(1, 0))
     assert len(poly) == 256 and len(g.edges) > 200
@@ -509,8 +528,9 @@ def test_graph_algorithms_make_no_fraction_order_comparison(monkeypatch):
     assert fixed_point_data(g).components[0] == SurfaceFixed(0, 0)
     assert calls == []
     assert jsonio.graph_from_json(text) == g
-    surfaces = sum(isinstance(n, FatVertex) for n in g.nodes)
-    assert sorted(calls) == ["__le__"] * surfaces + ["__lt__"] * len(g.edges)
+    assert calls == []
+    assert check_extendable(g).extendable
+    assert calls == []
 
 
 def _mapped(rng: Random, poly, directions) -> tuple:
@@ -709,6 +729,29 @@ def test_isomorphism_search_refines_at_most_once_per_node(monkeypatch):
         calls.clear()
         assert graphs_isomorphic(g, h) == expected
         assert 1 < len(calls) <= len(g.nodes)
+
+
+def test_isomorphism_of_discrete_labels_refines_nothing(monkeypatch):
+    """Every node label of a 256-gon's graph differs, so refinement can
+    split no class: comparing it with its image under a lattice map, with
+    the image's flip and with the image with one k changed checks the one
+    label-preserving map, and runs no refinement."""
+    rng = Random(42)
+    poly = cut_corners(standard_trapezoid(HirzebruchParams(3, 1, 1)), rng, 252)
+    image, (eta,) = _mapped(rng, poly, [IntVec2(1, 0)])
+    g, h = circle_graph(poly, IntVec2(1, 0)), circle_graph(image, eta)
+    flipped = circle_graph(image, IntVec2(-eta.x, -eta.y))
+    e = h.edges[0]
+    changed = LabeledGraph(h.nodes, (ZkEdge(e.k + 1, e.endpoints, e.moment_interval),
+                                     *h.edges[1:]))
+    labels = circle_actions._node_labels(g)
+    assert len(poly) == 256 and len(set(labels)) == len(labels) and g.edges
+    calls = _counted_refinements(monkeypatch)
+    for up_to_flip in (False, True):
+        assert graphs_isomorphic(g, h, up_to_flip)
+        assert graphs_isomorphic(g, flipped, up_to_flip) == up_to_flip
+        assert not graphs_isomorphic(g, changed, up_to_flip)
+    assert calls == []
 
 
 def test_isomorphism_search_holds_one_colouring_per_level():

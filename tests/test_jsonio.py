@@ -19,6 +19,7 @@ from delzant import (
     SphereProduct,
     SurfaceFixed,
     UnimodularAffine,
+    ZkEdge,
     circle_graph,
     fixed_point_data,
     is_delzant,
@@ -163,6 +164,55 @@ def test_xi_parsing():
 def test_malformed_graph_json_is_format_error(data):
     with pytest.raises(FormatError):
         jsonio.graph_from_json(data)
+
+
+def _graph_payload(isolated=None, surface=None, edge=None) -> dict:
+    """A valid payload of an isolated node, a surface node and one edge,
+    with the given fields merged into each."""
+    return {"nodes": [{"type": "isolated", "moment": "0", "weights": [1, 1], **(isolated or {})},
+                      {"type": "surface", "moment": "1", "area": "2", "genus": 0,
+                       **(surface or {})}],
+            "edges": [{"k": 2, "endpoints": [0, 1], "interval": ["0", "1"], **(edge or {})}]}
+
+
+@pytest.mark.parametrize(
+    "payload,construct,decoded,constructed",
+    [
+        pytest.param(_graph_payload(edge={"k": "2", "endpoints": [0, 1, 1]}),
+                     lambda: ZkEdge("2", (0, 1, 1), (0, 1)),
+                     (FormatError, "'k' must be an integer"),
+                     (GraphError, "isotropy order k must be an integer >= 2, got '2'"),
+                     id="bad-k-and-three-endpoints"),
+        pytest.param(_graph_payload(isolated={"weights": [0, 1]}), lambda: IsolatedPoint(0, (0, 1)),
+                     (GraphError, "weights must be a pair of nonzero integers, got (0, 1)"),
+                     None, id="zero-weight"),
+        pytest.param(_graph_payload(edge={"interval": ["1", "1"]}),
+                     lambda: ZkEdge(2, (0, 1), ("1", "1")),
+                     (GraphError, "moment interval must be increasing, got (1, 1)"),
+                     None, id="empty-interval"),
+        pytest.param(_graph_payload(surface={"area": "0"}), lambda: FatVertex(1, "0"),
+                     (GraphError, "fixed surface area must be positive, got 0"),
+                     None, id="zero-area"),
+        pytest.param(_graph_payload(surface={"genus": 1.5}), lambda: FatVertex(1, 2, 1.5),
+                     (FormatError, "'genus' must be an integer"),
+                     (GraphError, "genus must be a nonnegative integer, got 1.5"),
+                     id="non-integer-genus"),
+        pytest.param(_graph_payload(edge={"interval": ["1", "0"]}),
+                     lambda: ZkEdge(2, (0, 1), (Fraction(1), Fraction(0))),
+                     (GraphError, "moment interval must be increasing, got (1, 0)"),
+                     None, id="decreasing-interval"),
+    ],
+)
+def test_graph_decoding_errors_are_pinned(payload, construct, decoded, constructed):
+    """The exact error class and message of each faulty value, through
+    ``graph_from_json`` and through the constructor (``constructed`` None:
+    the same error); the checks run in a fixed order, so a value with two
+    faults reports the first."""
+    for call, (cls, message) in ((lambda: jsonio.graph_from_json(payload), decoded),
+                                 (construct, constructed or decoded)):
+        with pytest.raises(DelzantError) as info:
+            call()
+        assert (info.type, str(info.value)) == (cls, message)
 
 
 OPTIONAL_KEYS = {"edges", "genus"}  # decoded with a default when absent

@@ -1,15 +1,17 @@
 """What ``pyproject.toml`` claims holds: every Python file of the project
-parses at the ``requires-python`` floor, and ``delzant.__version__`` is
-``[project].version``.  ``tomllib`` reads the file; without it (Python
+parses at the ``requires-python`` floor, and ``delzant.__version__``, which
+``delzant --version`` prints, is ``[project].version``.  ``tomllib`` reads the file; without it (Python
 3.10) these tests skip."""
 
 import ast
+import io
 import pathlib
 import re
 
 import pytest
 
 import delzant
+from delzant.cli import run
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -30,3 +32,9 @@ def test_every_file_parses_at_the_requires_python_floor():
 
 def test_version_is_the_project_version():
     assert delzant.__version__ == PROJECT["version"]
+
+
+def test_cli_prints_the_project_version():
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["--version"], stdout=out, stderr=err) == 0
+    assert (out.getvalue(), err.getvalue()) == (f"delzant {PROJECT['version']}\n", "")
