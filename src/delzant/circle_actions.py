@@ -294,7 +294,7 @@ def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph, up_to_flip: bool = Fal
     The labels are refined by the multiset of (k, neighbour label) over
     Z_k edges until the partition is stable (1-dimensional
     Weisfeiler-Leman colour refinement), jointly on both graphs, and the
-    graphs are rejected when the refined labels differ.  Otherwise the
+    graphs are rejected once their label multisets differ.  Otherwise the
     map pairing each class's nodes in index order is checked edge by
     edge, and when it fails the first node of a tied class in g1 is
     individualised against each node of that class in g2, each pair
@@ -352,15 +352,16 @@ def _node_labels(g: LabeledGraph, flipped: bool = False) -> list[tuple]:
 
 
 def _refined_colours(labels, orders) -> list[list[int]]:
-    """Stable colour refinement of the disjoint union of the graphs.
+    """Colour refinement of two graphs' disjoint union, to stability or
+    until their colour multisets differ, which splitting cannot undo.
 
-    ``labels`` and ``orders`` hold one entry per graph.  Colours are
-    small ints shared by all the graphs, so equal colours in different
-    graphs mean the same refined label.
+    ``labels`` and ``orders`` hold one entry per graph; equal colours
+    (small ints) in different graphs mean the same refined label.
     """
     ids: dict = {}
     colours = [[ids.setdefault(lab, len(ids)) for lab in labs] for labs in labels]
-    while True:
+    count = 0
+    while len(ids) > count and sorted(colours[0]) == sorted(colours[1]):
         count = len(ids)
         ids = {}
         colours = [
@@ -373,8 +374,7 @@ def _refined_colours(labels, orders) -> list[list[int]]:
             ]
             for c, adj in zip(colours, orders)
         ]
-        if len(ids) == count:
-            return colours
+    return colours
 
 
 def _isomorphic_labelled(labels1, orders1, labels2, orders2) -> bool:

@@ -15,7 +15,9 @@ Ten subcommands expose the library over JSON (rationals as strings, see
   extendable <polygon.json> --xi X,Y    toric-extension report
   form-autos --form NAME --bound N      automorphisms of an intersection form
 
-``delzant --version`` prints ``delzant <version>`` and exits 0.
+``delzant --version`` prints ``delzant <version>`` and exits 0.  Only
+``run`` prints a result: ``json.dumps(value, indent=2)`` and a newline of
+``_result``'s value, ``betti``'s on one line, ``graph --dot``'s text as is.
 
 Polygon arguments are file paths, or "-" for stdin.  Exit codes: 0 on
 success, 1 on an error (JSON error object on stderr), 2 on a usage
@@ -26,7 +28,8 @@ too deeply or holding a number too long to read, and rationals or
 with a number of more digits than the interpreter will print, integer
 or rational, is ``output_too_large``, with one detail naming the limit;
 ``betti`` given anything but a polygon with ``--xi`` or ``--fixed-data``
-alone, and ``congruent - -``, are ``domain_error``; any exception that
+alone, ``congruent - -`` and ``enumerate-tori`` over more than
+``_MAX_ENUMERATED`` tori are ``domain_error``; any exception that
 is not a domain or I/O error is reported as ``internal_error``, never
 as a traceback.
 When the reader closes standard output early, ``main`` exits 1 without
@@ -91,14 +94,12 @@ def _circle_graph(args, stdin) -> circle_actions.LabeledGraph:
     )
 
 
-def _parse_manifold(text: str) -> hirzebruch.ManifoldClass:
-    return jsonio.manifold_from_json(_decode_json("manifold JSON", lambda: text))
-
-
 _FORMS = {
     "hyperbolic": hirzebruch.HYPERBOLIC_FORM,
     "blowup": hirzebruch.BLOWUP_FORM,
 }
+# enumerate-tori's work grows with the count, which a short --manifold makes huge
+_MAX_ENUMERATED = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,44 +152,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args, stdin) -> tuple[str, bool]:
-    """Run one subcommand; returns (output text, is_raw) with is_raw set
-    for DOT output, which is not JSON."""
-    if args.command == "verify":
+def _result(args, stdin):
+    """The subcommand's JSON value, or the DOT text for ``graph --dot``."""
+    command = args.command
+    if command == "verify":
         report = polygon.is_delzant(_load_polygon(args.polygon, stdin))
-        return json.dumps(jsonio.delzant_report_to_json(report), indent=2), False
-
-    if args.command == "classify":
+        return jsonio.delzant_report_to_json(report)
+    if command == "classify":
         params, witness = hirzebruch.classify_quadrilateral(_load_polygon(args.polygon, stdin))
-        payload = {
-            "params": jsonio.params_to_json(params),
-            "witness": jsonio.affine_to_json(witness),
-        }
-        return json.dumps(payload, indent=2), False
-
-    if args.command == "standard":
+        return {"params": jsonio.params_to_json(params), "witness": jsonio.affine_to_json(witness)}
+    if command == "standard":
         params = hirzebruch.HirzebruchParams(
             jsonio.rational_from_json(args.a), jsonio.rational_from_json(args.b), args.m
         )
-        poly = hirzebruch.standard_trapezoid(params)
-        return json.dumps(jsonio.polygon_to_json(poly), indent=2), False
-
-    if args.command == "count-tori":
-        manifold = _parse_manifold(args.manifold)
-        return json.dumps(hirzebruch.count_tori(manifold)), False
-
-    if args.command == "enumerate-tori":
-        manifold = _parse_manifold(args.manifold)
-        entries = [jsonio.params_to_json(p) for p in hirzebruch.enumerate_tori(manifold)]
-        return json.dumps(entries, indent=2), False
-
-    if args.command == "graph":
+        return jsonio.polygon_to_json(hirzebruch.standard_trapezoid(params))
+    if command in ("count-tori", "enumerate-tori"):
+        manifold = jsonio.manifold_from_json(_decode_json("manifold JSON", lambda: args.manifold))
+        count = hirzebruch.count_tori(manifold)
+        if command == "count-tori":
+            return count
+        if count > _MAX_ENUMERATED:
+            raise DelzantError(f"enumerate-tori lists at most {_MAX_ENUMERATED} tori; "
+                               "count-tori gives their number")
+        return [jsonio.params_to_json(p) for p in hirzebruch.enumerate_tori(manifold)]
+    if command == "graph":
         g = _circle_graph(args, stdin)
-        if args.dot:
-            return jsonio.graph_to_dot(g), True
-        return json.dumps(jsonio.graph_to_json(g), indent=2), False
-
-    if args.command == "betti":
+        return jsonio.graph_to_dot(g) if args.dot else jsonio.graph_to_json(g)
+    if command == "betti":
         given = (args.polygon is not None, args.xi is not None, args.fixed_data is not None)
         if given == (False, False, True):
             data = _decode_json("fixed-data JSON", lambda: args.fixed_data)
@@ -197,24 +187,17 @@ def _dispatch(args, stdin) -> tuple[str, bool]:
             fixed = circle_actions.fixed_point_data(_circle_graph(args, stdin))
         else:
             raise DelzantError("betti takes either a polygon with --xi, or --fixed-data alone")
-        return json.dumps(list(circle_actions.betti_numbers(fixed))), False
-
-    if args.command == "congruent":
+        return list(circle_actions.betti_numbers(fixed))
+    if command == "congruent":
         if args.polygon1 == args.polygon2 == "-":
             raise DelzantError("congruent takes two polygon files, or one file and - for stdin")
         p1 = _load_polygon(args.polygon1, stdin)
-        p2 = _load_polygon(args.polygon2, stdin)
-        witness = polygon.congruent(p1, p2)
-        if witness is None:
-            return json.dumps("none"), False
-        return json.dumps(jsonio.affine_to_json(witness), indent=2), False
-
-    if args.command == "extendable":
+        witness = polygon.congruent(p1, _load_polygon(args.polygon2, stdin))
+        return "none" if witness is None else jsonio.affine_to_json(witness)
+    if command == "extendable":
         report = circle_actions.check_extendable(_circle_graph(args, stdin))
-        return json.dumps(jsonio.extendability_to_json(report), indent=2), False
-
-    autos = hirzebruch.form_automorphisms(_FORMS[args.form], args.bound)
-    return json.dumps(jsonio.matrices_to_json(autos), indent=2), False
+        return jsonio.extendability_to_json(report)
+    return jsonio.matrices_to_json(hirzebruch.form_automorphisms(_FORMS[args.form], args.bound))
 
 
 def run(argv, stdout=None, stderr=None, stdin=None) -> int:
@@ -229,7 +212,9 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        output, is_raw = _dispatch(args, stdin)
+        output = _result(args, stdin)
+        if not getattr(args, "dot", False):  # encoding may hit the digit limit
+            output = json.dumps(output, indent=None if args.command == "betti" else 2) + "\n"
     except DelzantError as exc:
         code, detail = exc.code, str(exc)
     except OSError as exc:
@@ -242,7 +227,7 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
         else:
             code, detail = "internal_error", f"{type(exc).__name__}: {exc}"
     else:
-        stdout.write(output if is_raw else output + "\n")
+        stdout.write(output)
         return 0
     print(json.dumps({"error": code, "detail": detail}), file=stderr)
     return 1

@@ -1,4 +1,6 @@
-"""The CLI contract under fuzzed JSON input, in process: each JSON text
+"""The CLI contract under fuzzed input, in process.
+
+First, JSON: each JSON text
 the command line reads (a polygon on stdin, ``count-tori --manifold``,
 ``enumerate-tori --manifold`` and ``betti --fixed-data``) is a valid
 payload or one with a single edit, and every run exits 0 or 1, with one
@@ -9,10 +11,16 @@ The work of ``enumerate-tori`` grows with the ratio of the two areas,
 which a fuzzed payload can make as large as it likes, so it runs only on
 the payloads that ``count-tori`` counts at most ``MAX_ENUMERATED`` tori
 for, or rejects for a reason other than a count too long to print.
+
+Second, argv: each of the ten subcommands with odd option values and
+odd file paths, options dropped or written as ``--opt=value``.  Every
+call exits 0, 1 or 2 in under a second, with one JSON error object that
+is not ``internal_error`` on exit 1 and never a traceback.
 """
 
 import io
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -124,3 +132,99 @@ def test_fuzzed_json_input_keeps_the_cli_contract(square_file, call):
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
         error = json.loads(err.getvalue())
         assert error["error"] != "internal_error", (argv, stdin[:200], error)
+
+
+# per kind of argument: valid values, then odd ones; each is drawn half the time
+VALUES = {
+    "path": (["@square", "@trapezoid", "@hexagon", "-"],
+             ["@not-delzant", "@triangle", "@bad-utf8", "@empty", "@directory", "@missing",
+              "a\x00b", ""]),
+    "rational": (["1", "5/2", "7/3"],
+                 ["0", "-1", "-7/3", "1/0", "0/5", "", "x", " 1", "2.5", "1e3", "0x10", "\u0661",
+                  "1_0", HUGE, "-" + HUGE, "1/" + HUGE, LONG_INT]),
+    "integer": (["0", "1", "2"],
+                ["-1", "", "1.5", "0x10", "+3", " 3", "1_0", "\u0661", "9" * 30, HUGE, LONG_INT]),
+    "xi": (["1,0", "0,1", "1,1", "-1,2"],
+           ["0,0", "2,0", "1", "1,0,0", "", ",", "a,b", "1/2,1", " 1,0", HUGE + ",1",
+            "1," + LONG_INT]),
+    "manifold": ([json.dumps(m) for m in MANIFOLDS], [
+        "", "{", "null", "[]", "\x00", '{"type": "x"}', '{"type": "s2xs2", "a": "1"}',
+        '{"type": "s2xs2", "a": "5", "b": "9999999999"}',  # 2 * 10^9 tori
+        '{"type": "s2xs2", "a": "' + HUGE + '", "b": "1"}',
+        '{"type": "blowup_cp2", "l": "3", "e": "3"}', '{"type": "blowup_cp2", "l": "2", "e": "3"}',
+        '{"type": "s2xs2", "a": "2", "b": ' + LONG_INT + "}",
+    ]),
+    "fixed": ([json.dumps(f) for f in FIXED_DATA], [
+        "", "{}", "[]", '{"components": []}', '{"components": [{"type": "isolated", "index": 3}]}',
+        '{"components": [{"type": "surface", "index": 0, "genus": ' + LONG_INT + "}]}",
+    ]),
+    "form": (["hyperbolic", "blowup"], ["x", ""]),
+}
+STDINS = [json.dumps(p).encode() for p in POLYGONS] + [b"", b"\xff\xfe{", b"[" * 50_000]
+SHAPES = {
+    "verify": [("path", None)],
+    "classify": [("path", None)],
+    "standard": [("rational", "--a"), ("rational", "--b"), ("integer", "--m")],
+    "count-tori": [("manifold", "--manifold")],
+    "enumerate-tori": [("manifold", "--manifold")],
+    "graph": [("path", None), ("xi", "--xi"), ("flag", "--dot")],
+    "betti": [("path", None), ("xi", "--xi"), ("fixed", "--fixed-data")],
+    "congruent": [("path", None), ("path", None)],
+    "extendable": [("path", None), ("xi", "--xi")],
+    "form-autos": [("form", "--form"), ("integer", "--bound")],
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    """The file arguments ``PATHS`` names with an ``@``."""
+    folder = tmp_path_factory.mktemp("argv")
+    texts = {
+        "square": json.dumps(POLYGONS[0]).encode(), "trapezoid": json.dumps(POLYGONS[1]).encode(),
+        "not-delzant": json.dumps(POLYGONS[2]).encode(),
+        "triangle": json.dumps(POLYGONS[3]).encode(), "hexagon": json.dumps(POLYGONS[4]).encode(),
+        "bad-utf8": b'{"vertices": "\xff"}', "empty": b"",
+    }
+    for name, data in texts.items():
+        (folder / name).write_bytes(data)
+    (folder / "directory").mkdir()
+    return {"@" + name: str(folder / name) for name in [*texts, "directory", "missing"]}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, each of its arguments kept or dropped, in any order,
+    and the bytes on stdin."""
+    command = draw(st.sampled_from(sorted(SHAPES)))
+    pieces = []
+    for kind, name in SHAPES[command]:
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        if kind == "flag":
+            pieces.append([name])
+            continue
+        value = draw(st.one_of(*map(st.sampled_from, VALUES[kind])))
+        if name is None:
+            pieces.append([value])
+        else:
+            pieces.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    argv = [command] + [a for piece in draw(st.permutations(pieces)) for a in piece]
+    return argv, draw(st.sampled_from(STDINS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_keeps_the_cli_contract(paths, call):
+    argv, data = call
+    argv = [paths.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = run(argv, stdout=out, stderr=err, stdin=io.TextIOWrapper(io.BytesIO(data)))
+    assert time.perf_counter() - start < 1, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue(), argv
+    elif code == 1:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        assert json.loads(err.getvalue())["error"] != "internal_error", (argv, err.getvalue())
