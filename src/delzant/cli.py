@@ -16,8 +16,8 @@ Ten subcommands expose the library over JSON (rationals as strings, see
   form-autos --form NAME --bound N      automorphisms of an intersection form
 
 ``delzant --version`` prints ``delzant <version>`` and exits 0.  Only
-``run`` prints a result: ``json.dumps(value, indent=2)`` and a newline of
-``_result``'s value, ``betti``'s on one line, ``graph --dot``'s text as is.
+``run`` prints a result: ``_result``'s value as JSON indented by 2 and a
+newline, ``betti``'s on one line, and ``graph --dot``'s text as it is.
 
 Polygon arguments are file paths, or "-" for stdin.  Exit codes: 0 on
 success, 1 on an error (JSON error object on stderr), 2 on a usage
