@@ -79,7 +79,7 @@ class CircleDirection(_Value):
 
     def __init__(self, xi: IntVec2):
         if not isinstance(xi, IntVec2):
-            if (pair := _as_tuple(xi, 2)) is None:
+            if (pair := _as_tuple(xi, 2)) is None or any(type(v) is not int for v in pair):
                 raise NonPrimitiveDirectionError(f"direction {xi!r} is not a pair of integers")
             xi = IntVec2(*pair)
         if gcd(xi.x, xi.y) != 1:

@@ -38,8 +38,8 @@ import math
 from fractions import Fraction
 
 from .errors import EdgeCountError, InvalidParamsError, NotDelzantError
-from .lattice import Mat2, UnimodularAffine, _Value, _as_mat2, as_rational, is_int
-from .polygon import Polygon, _delzant_failures, _from_edges, _triple, _witness
+from .lattice import Mat2, UnimodularAffine, _Value, _as_mat2, _reduced, as_rational, is_int
+from .polygon import Polygon, _delzant_failures, _from_edges, _witness
 
 
 class HirzebruchParams(_Value):
@@ -134,7 +134,7 @@ def standard_trapezoid(params: HirzebruchParams) -> Polygon:
     # over 2 q s, a + (m/2) b, a - (m/2) b and b have the numerators below
     wide, narrow, height, den = 2 * p * s + m * q * r, 2 * p * s - m * q * r, 2 * q * r, 2 * q * s
     return _from_edges(
-        [(0, 0, 1), _triple(wide, 0, den), _triple(narrow, height, den), _triple(0, height, den)],
+        [(0, 0, 1), *(_reduced(x, y, den) for x, y in ((wide, 0), (narrow, height), (0, height)))],
         [(1, 0, Fraction(wide, den)), (-m, 1, params.b), (-1, 0, Fraction(narrow, den)),
          (0, -1, params.b)],
     )

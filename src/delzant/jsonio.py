@@ -39,8 +39,9 @@ graph, so an edge interval holds its endpoint nodes' own ``Fraction``s,
 which the graph's interval check matches by identity.  Two-entry values
 (weights, endpoints, intervals) are unpacked and checked entry by entry,
 and the constructors compare rationals as int pairs, so decoding makes
-no ``Fraction`` order comparison.  A decoded point stores the two
-``Fraction``s just parsed without ``RatVec2``'s second coercion.
+no ``Fraction`` order comparison.  A decoded point is built from the
+canonical triple of its two parsed texts, so it holds no ``Fraction``
+until its ``x`` or ``y`` is read.
 
 DOT output is deterministic: nodes appear in the graph's stored order
 (``circle_graph`` orders them by moment, ties by vertex index;
@@ -66,7 +67,17 @@ from .circle_actions import (
 )
 from .errors import FormatError
 from .hirzebruch import BlowUp, HirzebruchParams, ManifoldClass, SphereProduct
-from .lattice import IntVec2, RatVec2, UnimodularAffine, as_integer, as_rational, is_int
+from .lattice import (
+    IntVec2,
+    RatVec2,
+    UnimodularAffine,
+    _point,
+    _rational_pair,
+    _reduced,
+    as_integer,
+    as_rational,
+    is_int,
+)
 from .polygon import DelzantReport, Polygon, make_polygon
 
 
@@ -109,10 +120,11 @@ def point_from_json(value) -> RatVec2:
     # _list_from_json's check, inline: this runs once per polygon vertex
     if not (isinstance(value, list) and len(value) == 2):
         raise FormatError("point must be a list of 2 entries")
-    # the two Fractions were just parsed, so RatVec2's coercion is skipped
-    p = object.__new__(RatVec2)
-    p.__dict__.update(x=rational_from_json(value[0]), y=rational_from_json(value[1]))
-    return p
+    x, y = value
+    if not (isinstance(x, str) and isinstance(y, str)):
+        rational_from_json(x), rational_from_json(y)  # the first bad entry's error
+    (a, s), (b, t) = _rational_pair(x), _rational_pair(y)
+    return _point(_reduced(a * t, b * s, s * t))
 
 
 def polygon_to_json(poly: Polygon) -> dict:

@@ -1,8 +1,8 @@
 """Exact scalars and 2D lattice linear algebra.
 
-Points (``RatVec2``) have ``fractions.Fraction`` coordinates (arbitrary
-precision, always reduced with positive denominator), which a polygon
-keeps as integer triples over one denominator per vertex; all lattice
+A point (``RatVec2``) is kept as the integer triple (x, y, d) of (x/d,
+y/d), with gcd 1 and d > 0, and its ``fractions.Fraction`` coordinates
+(arbitrary precision, reduced) are built when first read; all lattice
 data is plain Python ``int``.  No floating point enters anywhere: the
 geometric dichotomies downstream (determinant exactly 1, strict rational
 inequalities) are meaningless under rounding.
@@ -13,6 +13,7 @@ matrices that occur are unimodular (determinant +1 or -1).
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import attrgetter
@@ -64,6 +65,21 @@ def _as_mat2(value) -> Mat2 | None:
     return ((a, b), (c, d))
 
 
+def _rational_pair(text: str) -> tuple[int, int]:
+    """(p, q), not reduced, for a text 'p' or 'p/q' with q nonzero, else ``FormatError``."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise FormatError(f"invalid rational {text!r}: expected 'p' or 'p/q'")
+    num, den = match.groups()
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError as exc:  # too many digits
+        raise FormatError(f"invalid rational {text!r}: {exc}") from exc
+    if q == 0:
+        raise FormatError(f"invalid rational {text!r}: Fraction({p}, 0)")
+    return p, q
+
+
 def as_rational(value) -> Fraction:
     """Coerce int / Fraction / string to an exact rational.
 
@@ -72,24 +88,23 @@ def as_rational(value) -> Fraction:
     must match ``-?\\d+(/\\d+)?`` in full (ASCII digits, no sign on the
     denominator, no spaces, underscores, decimal points or exponents)
     and have a nonzero denominator, else ``FormatError``; one match
-    builds the ``Fraction``.  Floats, bools and other types raise
-    ``NotRationalError``: a float in the input is always a bug under the
-    exactness contract.
+    gives the ``Fraction``'s two integers.  Floats, bools and other types
+    raise ``NotRationalError``: a float in the input is always a bug under
+    the exactness contract.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
-        if not match:
-            raise FormatError(f"invalid rational {value!r}: expected 'p' or 'p/q'")
-        num, den = match.groups()
-        try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
-            raise FormatError(f"invalid rational {value!r}: {exc}") from exc
+        return Fraction(*_rational_pair(value))
     if is_int(value) or isinstance(value, Fraction):  # a Fraction subclass is copied
         return Fraction(value)
     raise NotRationalError(f"cannot interpret {value!r} as a rational (an int, Fraction or str)")
+
+
+def _reduced(x: int, y: int, d: int) -> tuple[int, int, int]:
+    """The canonical triple of the point (x/d, y/d), for d > 0."""
+    g = math.gcd(x, y, d)
+    return x // g, y // g, d // g
 
 
 class _Value:
@@ -149,12 +164,34 @@ class IntVec2(_Value):
 
 
 class RatVec2(_Value):
-    """Point of the rational plane; also used for translations."""
+    """Point of the rational plane; also used for translations.  Equality
+    compares the canonical triple ``_xyd``, and the hash is hash((x, y)); a
+    point built by ``_point`` builds x and y in ``__getattr__`` on first read."""
 
     _fields = ("x", "y")
+    _compared = ("_xyd",)
 
     def __init__(self, x: Fraction, y: Fraction):
-        self.__dict__.update(x=as_rational(x), y=as_rational(y))
+        x, y = as_rational(x), as_rational(y)
+        (a, s), (b, t) = x.as_integer_ratio(), y.as_integer_ratio()
+        self.__dict__.update(x=x, y=y, _xyd=_reduced(a * t, b * s, s * t))
+
+    def __getattr__(self, name):
+        if name not in ("x", "y"):
+            raise AttributeError(f"'RatVec2' object has no attribute {name!r}")
+        x, y, d = self._xyd
+        self.__dict__.update(x=Fraction(x, d), y=Fraction(y, d))
+        return self.__dict__[name]
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+
+def _point(xyd: tuple[int, int, int]) -> RatVec2:
+    """The point of a canonical triple, unchecked."""
+    p = object.__new__(RatVec2)
+    p.__dict__["_xyd"] = xyd
+    return p
 
 
 class UnimodularAffine(_Value):
@@ -187,22 +224,9 @@ class UnimodularAffine(_Value):
         self.__dict__.update(linear=lin, translation=translation)
 
     def apply(self, p: RatVec2) -> RatVec2:
-        """R p + v, exactly.
-
-        With p = (x/d, y/e) and v = (s/f, t/g) in lowest terms, the first
-        image coordinate is ((r00 x e + r01 y d) f + s d e) / (d e f), and
-        the second likewise: integer numerators and denominators, so each
-        coordinate costs one Fraction reduction (one gcd) instead of eight
-        Fraction operations.
-        """
+        """R p + v, exactly: with p = (x, y)/d and v = (s, t)/e, the image is
+        (R (x, y) e + (s, t) d) / (d e), one gcd from its canonical triple."""
         (r00, r01), (r10, r11) = self.linear
-        x, d = p.x.numerator, p.x.denominator
-        y, e = p.y.numerator, p.y.denominator
-        v = self.translation
-        s, f = v.x.numerator, v.x.denominator
-        t, g = v.y.numerator, v.y.denominator
-        de = d * e
-        return RatVec2(
-            Fraction((r00 * x * e + r01 * y * d) * f + s * de, de * f),
-            Fraction((r10 * x * e + r11 * y * d) * g + t * de, de * g),
-        )
+        (x, y, d), (s, t, e) = p._xyd, self.translation._xyd
+        return _point(_reduced((r00 * x + r01 * y) * e + s * d,
+                               (r10 * x + r11 * y) * e + t * d, d * e))

@@ -2,10 +2,10 @@
 
 A polygon is stored counterclockwise, strictly convex, starting at its
 lexicographically smallest vertex, so equal polygons compare equal
-structurally.  Each vertex is kept as an integer triple (x, y, d), the
-point (x/d, y/d) with d the lcm of its coordinates' denominators, so
-equal points have equal triples; ``vertices`` builds the points on first
-read.  Each edge is kept as a plain tuple (dx, dy, length): a primitive
+structurally.  Each vertex is kept as its point's integer triple
+(x, y, d), the point (x/d, y/d) with gcd 1 and d > 0, so equal points
+have equal triples; ``vertices`` builds the points on first read.  Each
+edge is kept as a plain tuple (dx, dy, length): a primitive
 integer direction and a rational lattice length, with
 
     edge vector = length * (dx, dy).
@@ -59,6 +59,8 @@ from .lattice import (
     RatVec2,
     UnimodularAffine,
     _as_tuple,
+    _point,
+    _reduced,
     _Value,
 )
 
@@ -95,11 +97,7 @@ class Polygon(_Value):
         n = len(given)
         if n < 3:
             raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
-        pts = []
-        for p in given:
-            (x, s), (y, t) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
-            d = math.lcm(s, t)
-            pts.append((x * (d // s), y * (d // t), d))
+        pts = [p._xyd for p in given]
 
         # ad bd (b - a) is an integer vector; with g the gcd of its entries, the edge
         # has direction ad bd (b - a) / g and lattice length g / (ad bd)
@@ -141,7 +139,7 @@ class Polygon(_Value):
     @cached_property
     def vertices(self) -> tuple[RatVec2, ...]:
         """The points, built on first read unless given to the constructor."""
-        return tuple(RatVec2(Fraction(x, d), Fraction(y, d)) for x, y, d in self._pts)
+        return tuple(map(_point, self._pts))
 
     @cached_property
     def _edge_data(self) -> tuple[EdgeData, ...]:
@@ -162,21 +160,14 @@ def _from_edges(pts, edges, reverse: bool = False) -> Polygon:
     return poly
 
 
-def _triple(x: int, y: int, d: int) -> tuple[int, int, int]:
-    """The vertex triple of the point (x/d, y/d), for d > 0."""
-    g = math.gcd(x, y, d)
-    return x // g, y // g, d // g
-
-
 def _witness(linear, src, dst=(0, 0, 1)) -> UnimodularAffine:
     """The map x -> R x + v with R = ``linear`` and R src + v = dst, for vertex
     triples src and dst, unchecked: every caller's lemma makes R unimodular."""
     (r00, r01), (r10, r11) = linear
     (x, y, d), (u, w, e) = src, dst
     witness = object.__new__(UnimodularAffine)
-    witness.__dict__.update(linear=linear, translation=RatVec2(
-        Fraction(u * d - (r00 * x + r01 * y) * e, d * e),
-        Fraction(w * d - (r10 * x + r11 * y) * e, d * e)))
+    witness.__dict__.update(linear=linear, translation=_point(_reduced(
+        u * d - (r00 * x + r01 * y) * e, w * d - (r10 * x + r11 * y) * e, d * e)))
     return witness
 
 
@@ -245,10 +236,8 @@ def apply_map(poly: Polygon, transform: UnimodularAffine) -> Polygon:
     unchecked from the edges R d_i (same lengths; reversed if det R = -1)."""
     (r00, r01), (r10, r11) = transform.linear
     edges = [(r00 * dx + r01 * dy, r10 * dx + r11 * dy, length) for dx, dy, length in poly._edges]
-    v = transform.translation
-    (s, f), (t, g) = v.x.as_integer_ratio(), v.y.as_integer_ratio()
-    s, t, e = _triple(s * g, t * f, f * g)  # the translation is (s/e, t/e)
-    pts = [_triple((r00 * x + r01 * y) * e + s * d, (r10 * x + r11 * y) * e + t * d, d * e)
+    s, t, e = transform.translation._xyd
+    pts = [_reduced((r00 * x + r01 * y) * e + s * d, (r10 * x + r11 * y) * e + t * d, d * e)
            for x, y, d in poly._pts]
     return _from_edges(pts, edges, r00 * r11 - r01 * r10 < 0)
 

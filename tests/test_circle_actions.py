@@ -64,6 +64,15 @@ def test_direction_must_be_primitive():
     CircleDirection(IntVec2(-2, 3))
 
 
+@pytest.mark.parametrize("xi", [(1.0, 0), ("1", "0"), (True, 0)])
+def test_direction_pair_with_a_non_int_entry_is_no_direction(xi):
+    """A pair whose entries are not exact ints raises the same error as a
+    value that is no pair, from the constructor and from ``circle_graph``."""
+    for build in (CircleDirection, lambda xi: circle_graph(UNIT_SQUARE, xi)):
+        with pytest.raises(NonPrimitiveDirectionError, match="is not a pair of integers"):
+            build(xi)
+
+
 def test_circle_graph_requires_delzant():
     with pytest.raises(NotDelzantError):
         circle_graph(make_polygon([(0, 0), (2, 0), (0, 1)]), IntVec2(0, 1))

@@ -35,6 +35,7 @@ from delzant import (
     same_symplectic_class,
     standard_trapezoid,
 )
+from delzant import hirzebruch, jsonio, lattice, polygon
 from delzant.errors import EdgeCountError, InvalidParamsError, NotDelzantError
 
 from reference_forms import reference_form_automorphisms
@@ -147,7 +148,8 @@ def test_builders_make_no_points_until_the_vertices_are_read(monkeypatch):
     """Work counter: polygons keep their vertices as integer triples, so
     ``apply_map`` and ``standard_trapezoid`` build no ``RatVec2`` until
     ``vertices`` is read, and ``classify_quadrilateral`` and ``congruent``
-    build exactly one each, the translation of their witness."""
+    build exactly one each, the translation of their witness.  Points are
+    built by the constructor or from a triple by ``_point``; both count."""
     trapezoid = standard_trapezoid(HirzebruchParams(Fraction(5, 2), 1, 3))
     quad = make_polygon(apply_map(trapezoid, UnimodularAffine(((1, 2), (1, 1)), (3, 0))).vertices)
     ngon = cut_corners(make_polygon([(0, 0), (81, 0), (81, 81), (0, 81)]), Random(5), 60)
@@ -161,7 +163,16 @@ def test_builders_make_no_points_until_the_vertices_are_read(monkeypatch):
         calls += 1
         init(self, x, y)
 
+    def counted_point(xyd):
+        nonlocal calls
+        calls += 1
+        return point(xyd)
+
+    point = lattice._point
     monkeypatch.setattr(RatVec2, "__init__", counted)
+    for module in (lattice, polygon, hirzebruch, jsonio):
+        if getattr(module, "_point", None) is point:
+            monkeypatch.setattr(module, "_point", counted_point)
     images = [apply_map(poly, t) for poly in (quad, ngon) for t in maps]
     std = standard_trapezoid(HirzebruchParams(Fraction(7, 2), Fraction(1, 3), 5))
     assert calls == 0

@@ -1,10 +1,14 @@
 """Serialization round trips and format validation."""
 
+import copy
 import json
+import math
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from delzant import (
     BlowUp,
@@ -308,6 +312,45 @@ def test_rational_grammar_accepts_integers_and_fractions():
     assert jsonio.rational_from_json("-0") == 0
     assert jsonio.rational_from_json("007/014") == Fraction(1, 2)
     assert jsonio.rational_from_json("-12/8") == Fraction(-3, 2)
+
+
+# unreduced texts with leading zeros, "-0", and parts of up to 4300 digits
+numerals = st.one_of(
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**6)),
+    st.integers(10**4299, 10**4300 - 1).map(str),
+)
+rational_texts = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(("", "-")), numerals, st.none() | numerals.filter(lambda t: t.strip("0")),
+)
+
+
+@given(rational_texts, rational_texts)
+@example("007/014", "-0")
+@example("-12/8", "5/" + "7" * 4300)
+def test_decoded_points_equal_constructed_points(a, b):
+    """A point decoded from two texts is the point the constructor builds
+    from them: equal, with the same hash and repr and the same canonical
+    triple, and so are its copies, taken before and after x is read."""
+    decoded, built = jsonio.point_from_json([a, b]), RatVec2(a, b)
+    x, y, d = decoded._xyd
+    assert decoded._xyd == built._xyd and d > 0 and math.gcd(x, y, d) == 1
+    twins = [twin(p) for p in (jsonio.point_from_json([a, b]), built)
+             for twin in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p)))]
+    assert decoded == built and hash(decoded) == hash(built) and repr(decoded) == repr(built)
+    for twin in twins + [twin(decoded) for twin in (copy.copy, copy.deepcopy)]:
+        assert type(twin) is RatVec2 and twin == built and twin._xyd == built._xyd
+        assert hash(twin) == hash(built) and repr(twin) == repr(built)
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS + [5, 2.5, None])
+def test_decoding_a_bad_point_raises_the_rational_error(text):
+    with pytest.raises(FormatError) as expected:
+        jsonio.rational_from_json(text)
+    for pair in ([text, "1"], ["1", text], [text, 7]):
+        with pytest.raises(FormatError) as got:
+            jsonio.point_from_json(pair)
+        assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize(

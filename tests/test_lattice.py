@@ -33,7 +33,7 @@ def test_rational_floor_ceil_exact():
 
 def test_as_rational_rejects_floats():
     """Floats and bools are not numbers here: neither a rational nor a lattice vector
-    entry accepts them."""
+    entry accepts them, and a circle direction rejects them as no pair of integers."""
     with pytest.raises(TypeError):
         as_rational(0.5)
     with pytest.raises(TypeError):
@@ -41,7 +41,7 @@ def test_as_rational_rejects_floats():
     for x, y in ((True, False), (1, False), (True, 0), (0.5, 1), (1, 2.0)):
         with pytest.raises(TypeError):
             IntVec2(x, y)
-    with pytest.raises(TypeError):
+    with pytest.raises(NonPrimitiveDirectionError, match="is not a pair of integers"):
         CircleDirection((True, False))
 
 

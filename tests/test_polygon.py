@@ -185,6 +185,28 @@ def test_building_and_decoding_a_256_gon_hashes_no_vertex(monkeypatch):
     assert len(ngon) == 256 and counts == {"hash": 0, "parse": 2 * 256}
 
 
+def test_decoding_a_256_gon_builds_fractions_only_for_its_edges(monkeypatch):
+    """Work counter: a decoded point is its integer triple, so decoding and
+    building a 256-gon makes one ``Fraction`` per edge, its lattice length,
+    and none per coordinate; the Delzant check and a self-congruence, whose
+    witness translation is a triple, make none."""
+    square = make_polygon([(0, 0), (4096, 0), (4096, 4096), (0, 4096)])
+    data = jsonio.polygon_to_json(cut_corners(square, Random(256), 252))
+    count = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    poly = jsonio.polygon_from_json(data)
+    assert len(poly) == 256 and count == 256
+    assert is_delzant(poly).is_delzant and congruent(poly, poly) is not None
+    assert count == 256
+
+
 def test_edge_data_unit_square():
     edges = edge_data(make_polygon(UNIT_SQUARE))
     assert [e.inward_normal for e in edges] == [
