@@ -2,10 +2,10 @@
 
 A point (``RatVec2``) is kept as the integer triple (x, y, d) of (x/d,
 y/d), with gcd 1 and d > 0, and its ``fractions.Fraction`` coordinates
-(arbitrary precision, reduced) are built when first read; all lattice
-data is plain Python ``int``.  No floating point enters anywhere: the
-geometric dichotomies downstream (determinant exactly 1, strict rational
-inequalities) are meaningless under rounding.
+(arbitrary precision, reduced) are built from it on each read; all
+lattice data is plain Python ``int``.  No floating point enters
+anywhere: the geometric dichotomies downstream (determinant exactly 1,
+strict rational inequalities) are meaningless under rounding.
 
 A 2x2 integer matrix is a pair of rows ``((a, b), (c, d))``.  The only
 matrices that occur are unimodular (determinant +1 or -1).
@@ -129,7 +129,7 @@ class _Value:
     def __init_subclass__(cls):
         compared = cls.__dict__.get("_compared", cls._fields)
         get = attrgetter(*compared)
-        # always a tuple, so that a value hashes like its field tuple
+        # always a tuple, so that a value hashes like the tuple of its compared fields
         cls._key = staticmethod(get if len(compared) > 1 else lambda value: (get(value),))
 
     def __eq__(self, other):
@@ -164,27 +164,26 @@ class IntVec2(_Value):
 
 
 class RatVec2(_Value):
-    """Point of the rational plane; also used for translations.  Equality
-    compares the canonical triple ``_xyd``, and the hash is hash((x, y)); a
-    point built by ``_point`` builds x and y in ``__getattr__`` on first read."""
+    """Point of the rational plane; also used for translations.  It stores
+    only its canonical triple ``_xyd``, by which it compares and hashes;
+    x and y are built from it on each read."""
 
     _fields = ("x", "y")
     _compared = ("_xyd",)
 
     def __init__(self, x: Fraction, y: Fraction):
-        x, y = as_rational(x), as_rational(y)
-        (a, s), (b, t) = x.as_integer_ratio(), y.as_integer_ratio()
-        self.__dict__.update(x=x, y=y, _xyd=_reduced(a * t, b * s, s * t))
+        (a, s), (b, t) = as_rational(x).as_integer_ratio(), as_rational(y).as_integer_ratio()
+        self.__dict__["_xyd"] = _reduced(a * t, b * s, s * t)
 
-    def __getattr__(self, name):
-        if name not in ("x", "y"):
-            raise AttributeError(f"'RatVec2' object has no attribute {name!r}")
-        x, y, d = self._xyd
-        self.__dict__.update(x=Fraction(x, d), y=Fraction(y, d))
-        return self.__dict__[name]
+    @property
+    def x(self) -> Fraction:
+        x, _, d = self._xyd
+        return Fraction(x, d)
 
-    def __hash__(self):
-        return hash((self.x, self.y))
+    @property
+    def y(self) -> Fraction:
+        _, y, d = self._xyd
+        return Fraction(y, d)
 
 
 def _point(xyd: tuple[int, int, int]) -> RatVec2:

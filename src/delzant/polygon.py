@@ -93,11 +93,10 @@ class Polygon(_Value):
         items = _as_tuple(vertices)
         if items is None:
             raise FormatError(f"bad vertices {vertices!r}")
-        given = tuple(p if isinstance(p, RatVec2) else _as_point(p) for p in items)
-        n = len(given)
+        pts = [(p if isinstance(p, RatVec2) else _as_point(p))._xyd for p in items]
+        n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
-        pts = [p._xyd for p in given]
 
         # ad bd (b - a) is an integer vector; with g the gcd of its entries, the edge
         # has direction ad bd (b - a) / g and lattice length g / (ad bd)
@@ -110,44 +109,39 @@ class Polygon(_Value):
         # edge i is a positive multiple of d_i, so det(d_i, d_{i+1}) signs the turn at i + 1
         turns = [a * d - b * c for (a, b, _), (c, d, _) in zip(edges, edges[1:] + edges[:1])]
         if 0 in turns:
-            raise _repeat_error(given) or CollinearVerticesError((turns.index(0) + 1) % n)
+            raise _repeat_error(pts) or CollinearVerticesError((turns.index(0) + 1) % n)
         if min(turns) < 0 < max(turns):
             majority_ccw = sum(1 for turn in turns if turn > 0) * 2 >= n
             bad = next(i for i, turn in enumerate(turns) if (turn > 0) != majority_ccw)
-            raise _repeat_error(given) or NonConvexError((bad + 1) % n)
-        extra = self._fill(pts, edges, max(turns) < 0, given)
+            raise _repeat_error(pts) or NonConvexError((bad + 1) % n)
+        extra = self._fill(pts, edges, max(turns) < 0)
         if extra is not None:
-            raise _repeat_error(given) or NonConvexError(pts.index(extra))
+            raise _repeat_error(pts) or NonConvexError(pts.index(extra))
 
-    def _fill(self, pts, edges, reverse: bool, given=()) -> tuple[int, int, int] | None:
-        """Store vertex triples, their edges (dx, dy, length) and any points ``given``,
-        reversed first if ``reverse``, from the least vertex: the one entered by a
-        leftward edge, (dx, dy) < (0, 0), and left by one that is not.  A boundary that
-        winds more than once has further such vertices; return the first, or None."""
+    def _fill(self, pts, edges, reverse: bool) -> tuple[int, int, int] | None:
+        """Store vertex triples and their edges (dx, dy, length), reversed first if
+        ``reverse``, from the least vertex: the one entered by a leftward edge,
+        (dx, dy) < (0, 0), and left by one that is not.  A boundary that winds more
+        than once has further such vertices; return the first, or None."""
         if reverse:
-            pts, given = pts[::-1], given[::-1]
+            pts = pts[::-1]
             # reversed edge j runs backwards along input edge n - 2 - j
             edges = [(-dx, -dy, length) for dx, dy, length in edges[-2::-1] + edges[-1:]]
         leftward = [(dx, dy) < (0, 0) for dx, dy, _ in edges]
         start, *others = [i for i in range(len(pts)) if leftward[i - 1] and not leftward[i]]
         self.__dict__.update(_pts=tuple(pts[start:] + pts[:start]), input_reversed=reverse,
                              _edges=tuple(edges[start:] + edges[:start]))
-        if given:
-            self.__dict__["vertices"] = given[start:] + given[:start]
         return pts[others[0]] if others else None
 
     @cached_property
     def vertices(self) -> tuple[RatVec2, ...]:
-        """The points, built on first read unless given to the constructor."""
+        """The points, built from the triples on first read."""
         return tuple(map(_point, self._pts))
 
     @cached_property
     def _edge_data(self) -> tuple[EdgeData, ...]:
         return tuple(EdgeData(i, IntVec2(dx, dy), IntVec2(-dy, dx), length)
                      for i, (dx, dy, length) in enumerate(self._edges))
-
-    def __hash__(self):  # equality compares the triples, the hash the points
-        return hash((self.vertices,))
 
     def __len__(self) -> int:
         return len(self._pts)
@@ -179,10 +173,10 @@ def _as_point(p) -> RatVec2:
     return RatVec2(*pair)
 
 
-def _repeat_error(points: tuple[RatVec2, ...]) -> RepeatedVertexError | None:
-    """The error for the first vertex equal to an earlier one, or None."""
+def _repeat_error(pts) -> RepeatedVertexError | None:
+    """The error for the first vertex triple equal to an earlier one, or None."""
     seen = set()
-    for i, p in enumerate(points):
+    for i, p in enumerate(pts):
         if p in seen:
             return RepeatedVertexError(i)
         seen.add(p)

@@ -45,11 +45,18 @@ from reference_graphs import (
 )
 from reference_polygons import mat_inverse_unimodular, mat_transpose, mat_vec
 from support import (
+    bipartite_graph,
+    mixed_denominator_cases,
+    permuted,
     primitive_directions,
     rand_affine,
     rand_params,
     rand_rational,
     rand_unimodular_linear,
+    random_graph,
+    random_matchings,
+    relabelled,
+    tied_bipartite_pairs,
 )
 from test_polygon_oracle import cut_corners, d4_pair, outcome, rand_convex
 
@@ -363,112 +370,6 @@ def test_weights_sorted_on_construction():
 
 # --- agreement with the exhaustive reference implementations ---------------
 
-WEIGHT_POOL = ((1, 1), (-1, 1), (-1, 2), (-2, 1), (-1, -1))
-
-
-def _random_graph(rng: Random, discrete: bool = False) -> LabeledGraph:
-    """Small labeled graph with crowded levels, tied labels, positive genus
-    and Z_k edges sharing endpoints; nodes are stored in random order.
-    With ``discrete``, a node equal to one already on its level is left
-    out, so that every node label differs."""
-    moments = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                      for _ in range(rng.randint(1, 6))})
-    nodes = []
-    for r, moment in enumerate(moments):
-        crowd = 1 if r in (0, len(moments) - 1) else rng.choice((1, 2, 3, 3, 4))
-        level = len(nodes)
-        for _ in range(crowd):
-            if rng.random() < 0.75:
-                node = IsolatedPoint(moment, rng.choice(WEIGHT_POOL))
-            else:
-                node = FatVertex(moment, rng.choice((1, 2, Fraction(1, 2))),
-                                 rng.choice((0, 0, 1, 2)))
-            if not (discrete and node in nodes[level:]):
-                nodes.append(node)
-    rng.shuffle(nodes)
-    # edges drawn from a few hub nodes, so endpoints are often shared
-    hubs = rng.sample(range(len(nodes)), min(len(nodes), rng.randint(2, 5)))
-    edges = []
-    for _ in range(rng.randint(0, 2 * len(nodes))):
-        i, j = rng.choice(hubs), rng.randrange(len(nodes))
-        if nodes[i].moment == nodes[j].moment:
-            continue
-        if nodes[i].moment > nodes[j].moment:
-            i, j = j, i
-        edges.append(ZkEdge(rng.choice((2, 2, 3)), (i, j), (nodes[i].moment, nodes[j].moment)))
-    return LabeledGraph(tuple(nodes), tuple(edges))
-
-
-def _shifted(node, shift):
-    if isinstance(node, IsolatedPoint):
-        return IsolatedPoint(node.moment + shift, node.weights)
-    return FatVertex(node.moment + shift, node.area, node.genus)
-
-
-def _permuted(rng: Random, g: LabeledGraph, shift: Fraction = Fraction(0)) -> LabeledGraph:
-    """``g`` with nodes permuted, moments translated by ``shift`` and edges shuffled."""
-    perm = list(range(len(g.nodes)))
-    rng.shuffle(perm)
-    nodes = [None] * len(g.nodes)
-    for i, node in enumerate(g.nodes):
-        nodes[perm[i]] = _shifted(node, shift)
-    edges = [ZkEdge(e.k, (perm[e.endpoints[0]], perm[e.endpoints[1]]),
-                    (e.moment_interval[0] + shift, e.moment_interval[1] + shift))
-             for e in g.edges]
-    rng.shuffle(edges)
-    return LabeledGraph(tuple(nodes), tuple(edges))
-
-
-def _relabelled(rng: Random, g: LabeledGraph) -> LabeledGraph:
-    """``g`` permuted and translated, then sometimes perturbed (an edge end
-    moved to a tied node, an order k changed, a weight changed) and
-    sometimes flipped."""
-    h = _permuted(rng, g, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-    nodes, edges, n = list(h.nodes), list(h.edges), len(h.nodes)
-    change = rng.random()
-    if edges and change < 0.3:
-        idx, end = rng.randrange(len(edges)), rng.randrange(2)
-        e = edges[idx]
-        ties = [j for j, node in enumerate(nodes)
-                if node.moment == nodes[e.endpoints[end]].moment and j != e.endpoints[end]]
-        if ties:
-            ends = list(e.endpoints)
-            ends[end] = rng.choice(ties)
-            edges[idx] = ZkEdge(e.k, tuple(ends), e.moment_interval)
-    elif edges and change < 0.4:
-        idx = rng.randrange(len(edges))
-        e = edges[idx]
-        edges[idx] = ZkEdge(5 - e.k if e.k in (2, 3) else 2, e.endpoints, e.moment_interval)
-    elif change < 0.5:
-        i = rng.randrange(n)
-        if isinstance(nodes[i], IsolatedPoint):
-            nodes[i] = IsolatedPoint(nodes[i].moment, rng.choice(WEIGHT_POOL))
-    h = LabeledGraph(tuple(nodes), tuple(edges))
-    return flip_graph(h) if rng.random() < 0.3 else h
-
-
-def _mixed_denominator_cases(rng: Random, g: LabeledGraph):
-    """``g`` translated by +-k/p, for a prime p dividing no moment
-    denominator of ``g``; the flip of that translate; and, when the
-    translate has an edge end with a twin (an equal node), the translate
-    with that end moved to the twin: its node labels match, its edges may
-    not."""
-    p = rng.choice([p for p in (5, 7, 11, 13) if all(n.moment.denominator % p for n in g.nodes)])
-    h = _permuted(rng, g, Fraction(rng.choice((-1, 1)) * rng.randrange(1, p), p))
-    yield "translate", h
-    yield "flip", flip_graph(h)
-    for idx, e in enumerate(h.edges):
-        for end, i in enumerate(e.endpoints):
-            twins = [j for j, node in enumerate(h.nodes) if node == h.nodes[i] and j != i]
-            if twins:
-                ends = list(e.endpoints)
-                ends[end] = rng.choice(twins)
-                edges = list(h.edges)
-                edges[idx] = ZkEdge(e.k, tuple(ends), e.moment_interval)
-                yield "twin", LabeledGraph(h.nodes, tuple(edges))
-                return
-
-
 def test_agrees_with_reference_on_random_graphs():
     """10,000 random graphs, then 2,000 whose node labels all differ, so
     that no refinement runs; each against a relabelled copy (permuted, and
@@ -478,11 +379,11 @@ def test_agrees_with_reference_on_random_graphs():
     discrete = {"isomorphic": 0, "flipped": 0, "different": 0, "edges-different": 0}
     mixed = {"translate": 0, "flip": 0, "twin": 0, "twin-different": 0}
     for step in range(12_000):
-        g = _random_graph(rng, discrete=step >= 10_000)
+        g = random_graph(rng, discrete=step >= 10_000)
         report = check_extendable(g)
         assert repr(report) == repr(reference_check_extendable(g))
         seen["violations"] += not report.extendable
-        h = _relabelled(rng, g)
+        h = relabelled(rng, g)
         plain = graphs_isomorphic(g, h)
         flipped = graphs_isomorphic(g, h, up_to_flip=True)
         assert plain == reference_graphs_isomorphic(g, h)
@@ -497,7 +398,7 @@ def test_agrees_with_reference_on_random_graphs():
             discrete["edges-different"] += (
                 not plain and sorted(labels) == sorted(circle_actions._node_labels(h)))
         # moments whose denominators share no prime with g's, on every other graph
-        for kind, h in _mixed_denominator_cases(mix, g) if step % 2 == 0 else ():
+        for kind, h in mixed_denominator_cases(mix, g) if step % 2 == 0 else ():
             plain = graphs_isomorphic(g, h)
             assert plain == reference_graphs_isomorphic(g, h)
             assert graphs_isomorphic(g, h, True) == reference_graphs_isomorphic(g, h, True)
@@ -648,7 +549,7 @@ def test_isomorphism_tied_levels_without_blowup():
     assert not graphs_isomorphic(g, _tied_levels_graph(30, rewired=True), up_to_flip=True)
     rng = Random(37)
     for _ in range(5):
-        assert graphs_isomorphic(g, _permuted(rng, g))
+        assert graphs_isomorphic(g, permuted(rng, g))
 
 
 def _three_level_graph(width: int, triangles: int) -> LabeledGraph:
@@ -686,29 +587,7 @@ def test_isomorphism_search_separates_refinement_equivalent_graphs():
     # so finding the isomorphism needs the search to back up
     rng = Random(38)
     for _ in range(20):
-        assert graphs_isomorphic(mixed, _permuted(rng, mixed))
-
-
-def _bipartite_graph(matchings, orders) -> LabeledGraph:
-    """Two levels of tied points between a minimum and a maximum; for each
-    permutation ``m`` in ``matchings``, with its order k from ``orders``,
-    a Z_k edge joins lower point t to upper point m[t]."""
-    width = len(matchings[0])
-    nodes = [IsolatedPoint(0, (1, 1))]
-    nodes += [IsolatedPoint(level, (-1, 1)) for level in (1, 2) for _ in range(width)]
-    nodes.append(IsolatedPoint(3, (-1, -1)))
-    return LabeledGraph(tuple(nodes), tuple(
-        ZkEdge(k, (1 + t, 1 + width + m[t]), (1, 2))
-        for m, k in zip(matchings, orders) for t in range(width)))
-
-
-def _matchings(rng: Random, width: int, simple: bool) -> list[list[int]]:
-    """Three random permutations of ``width``; with ``simple``, no two of
-    them agree anywhere, so their union is a simple cubic graph."""
-    while True:
-        matchings = [rng.sample(range(width), width) for _ in range(3)]
-        if not simple or all(len(set(ends)) == 3 for ends in zip(*matchings)):
-            return matchings
+        assert graphs_isomorphic(mixed, permuted(rng, mixed))
 
 
 def _counted_refinements(monkeypatch) -> list:
@@ -730,9 +609,9 @@ def test_isomorphism_search_refines_at_most_once_per_node(monkeypatch):
     cases = []
     for width in (8, 12):
         mixed = _three_level_graph(width, 2)
-        cases += [(mixed, _three_level_graph(width, 0), False), (mixed, _permuted(rng, mixed), True)]
-    cubic = _bipartite_graph(_matchings(rng, 50, simple=True), (2, 2, 2))
-    cases.append((cubic, _permuted(rng, cubic), True))
+        cases += [(mixed, _three_level_graph(width, 0), False), (mixed, permuted(rng, mixed), True)]
+    cubic = bipartite_graph(random_matchings(rng, 50, simple=True), (2, 2, 2))
+    cases.append((cubic, permuted(rng, cubic), True))
     calls = _counted_refinements(monkeypatch)
     for g, h, expected in cases:
         calls.clear()
@@ -769,8 +648,8 @@ def test_isomorphism_search_holds_one_colouring_per_level():
     only when it is popped, so the comparison's peak stays well under
     what 50 pairs of label lists of 102 entries each would take."""
     rng = Random(41)
-    cubic = _bipartite_graph(_matchings(rng, 50, simple=True), (2, 2, 2))
-    twin = _permuted(rng, cubic)
+    cubic = bipartite_graph(random_matchings(rng, 50, simple=True), (2, 2, 2))
+    twin = permuted(rng, cubic)
     tracemalloc.start()
     try:
         assert graphs_isomorphic(cubic, twin)
@@ -785,24 +664,9 @@ def test_agrees_with_reference_on_tied_bipartite_graphs(monkeypatch):
     permuted copy, a copy with two edge ends swapped (still cubic, so
     refinement still ties every level) or another random graph, each
     sometimes flipped."""
-    rng = Random(40)
     calls = _counted_refinements(monkeypatch)
     seen, branched = {True: 0, False: 0}, 0
-    for _ in range(150):
-        matchings, orders = _matchings(rng, 4, simple=False), rng.choices((2, 3), k=3)
-        g = _bipartite_graph(matchings, orders)
-        change = rng.random()
-        if change < 0.4:
-            h = _permuted(rng, g)
-        elif change < 0.7:
-            m = rng.choice(matchings)
-            s, t = rng.sample(range(4), 2)
-            m[s], m[t] = m[t], m[s]
-            h = _permuted(rng, _bipartite_graph(matchings, orders))
-        else:
-            h = _bipartite_graph(_matchings(rng, 4, simple=False), orders)
-        if rng.random() < 0.3:
-            h = flip_graph(h)
+    for g, h in tied_bipartite_pairs(Random(40), 150):
         for up_to_flip in (False, True):
             calls.clear()
             answer = graphs_isomorphic(g, h, up_to_flip)

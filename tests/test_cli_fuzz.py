@@ -28,29 +28,23 @@ from hypothesis import strategies as st
 
 from delzant.cli import run
 
+from support import (
+    ARGV_FILES,
+    FIXED_DATA,
+    HUGE,
+    LONG_INT,
+    MANIFOLDS,
+    POLYGONS,
+    SHAPES,
+    STDINS,
+    VALUES,
+    write_argv_files,
+)
+
 # an integer literal of more digits than json.loads will read: json.dumps
 # cannot write one, so a placeholder string is replaced in the text
-LONG_INT = "1" * 4400
 PLACEHOLDER = "\x00long"
-HUGE = "7" * 4000
 MAX_ENUMERATED = 64
-
-POLYGONS = [
-    {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
-    {"vertices": [["0", "0"], ["7/2", "0"], ["3/2", "1"], ["0", "1"]]},
-    {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "1"]]},  # not Delzant
-    {"vertices": [["0", "0"], ["2", "0"], ["0", "2"]]},
-    {"vertices": [["0", "0"], ["1", "0"], ["2", "1"], ["2", "2"], ["1", "2"], ["0", "1"]]},
-]
-MANIFOLDS = [
-    {"type": "s2xs2", "a": "5/2", "b": "1"},
-    {"type": "blowup_cp2", "l": "3", "e": "2"},
-]
-FIXED_DATA = [
-    {"components": [{"type": "surface", "index": 0, "genus": 1},
-                    {"type": "surface", "index": 2, "genus": 1}]},
-    {"components": [{"type": "isolated", "index": i} for i in (0, 2, 2, 4)]},
-]
 
 # other JSON kinds, rationals with 4000-digit parts, and a literal too long to read
 REPLACEMENTS = st.sampled_from([
@@ -134,61 +128,12 @@ def test_fuzzed_json_input_keeps_the_cli_contract(square_file, call):
         assert error["error"] != "internal_error", (argv, stdin[:200], error)
 
 
-# per kind of argument: valid values, then odd ones; each is drawn half the time
-VALUES = {
-    "path": (["@square", "@trapezoid", "@hexagon", "-"],
-             ["@not-delzant", "@triangle", "@bad-utf8", "@empty", "@directory", "@missing",
-              "a\x00b", ""]),
-    "rational": (["1", "5/2", "7/3"],
-                 ["0", "-1", "-7/3", "1/0", "0/5", "", "x", " 1", "2.5", "1e3", "0x10", "\u0661",
-                  "1_0", HUGE, "-" + HUGE, "1/" + HUGE, LONG_INT]),
-    "integer": (["0", "1", "2"],
-                ["-1", "", "1.5", "0x10", "+3", " 3", "1_0", "\u0661", "9" * 30, HUGE, LONG_INT]),
-    "xi": (["1,0", "0,1", "1,1", "-1,2"],
-           ["0,0", "2,0", "1", "1,0,0", "", ",", "a,b", "1/2,1", " 1,0", HUGE + ",1",
-            "1," + LONG_INT]),
-    "manifold": ([json.dumps(m) for m in MANIFOLDS], [
-        "", "{", "null", "[]", "\x00", '{"type": "x"}', '{"type": "s2xs2", "a": "1"}',
-        '{"type": "s2xs2", "a": "5", "b": "9999999999"}',  # 2 * 10^9 tori
-        '{"type": "s2xs2", "a": "' + HUGE + '", "b": "1"}',
-        '{"type": "blowup_cp2", "l": "3", "e": "3"}', '{"type": "blowup_cp2", "l": "2", "e": "3"}',
-        '{"type": "s2xs2", "a": "2", "b": ' + LONG_INT + "}",
-    ]),
-    "fixed": ([json.dumps(f) for f in FIXED_DATA], [
-        "", "{}", "[]", '{"components": []}', '{"components": [{"type": "isolated", "index": 3}]}',
-        '{"components": [{"type": "surface", "index": 0, "genus": ' + LONG_INT + "}]}",
-    ]),
-    "form": (["hyperbolic", "blowup"], ["x", ""]),
-}
-STDINS = [json.dumps(p).encode() for p in POLYGONS] + [b"", b"\xff\xfe{", b"[" * 50_000]
-SHAPES = {
-    "verify": [("path", None)],
-    "classify": [("path", None)],
-    "standard": [("rational", "--a"), ("rational", "--b"), ("integer", "--m")],
-    "count-tori": [("manifold", "--manifold")],
-    "enumerate-tori": [("manifold", "--manifold")],
-    "graph": [("path", None), ("xi", "--xi"), ("flag", "--dot")],
-    "betti": [("path", None), ("xi", "--xi"), ("fixed", "--fixed-data")],
-    "congruent": [("path", None), ("path", None)],
-    "extendable": [("path", None), ("xi", "--xi")],
-    "form-autos": [("form", "--form"), ("integer", "--bound")],
-}
-
-
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     """The file arguments ``PATHS`` names with an ``@``."""
     folder = tmp_path_factory.mktemp("argv")
-    texts = {
-        "square": json.dumps(POLYGONS[0]).encode(), "trapezoid": json.dumps(POLYGONS[1]).encode(),
-        "not-delzant": json.dumps(POLYGONS[2]).encode(),
-        "triangle": json.dumps(POLYGONS[3]).encode(), "hexagon": json.dumps(POLYGONS[4]).encode(),
-        "bad-utf8": b'{"vertices": "\xff"}', "empty": b"",
-    }
-    for name, data in texts.items():
-        (folder / name).write_bytes(data)
-    (folder / "directory").mkdir()
-    return {"@" + name: str(folder / name) for name in [*texts, "directory", "missing"]}
+    write_argv_files(folder)
+    return {"@" + name: str(folder / name) for name in [*ARGV_FILES, "directory", "missing"]}
 
 
 @st.composite

@@ -87,7 +87,6 @@ SPECIAL_METHODS = {
     "__repr__": "repr(), and the value in an assertion's message",
     "__setattr__": "an assignment to a field, which it refuses",
     "__delattr__": "a deletion of a field, which it refuses",
-    "RatVec2.__getattr__": "the first read of p.x or p.y on a point built from its triple",
     "Polygon.__len__": "len(poly), the vertex count the algorithms loop over",
     "_IndexedError.__reduce__": "pickle, which rebuilds the error from its index",
     "NotDelzantError.__reduce__": "pickle, which rebuilds the error from its failures",

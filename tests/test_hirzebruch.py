@@ -40,7 +40,7 @@ from delzant.errors import EdgeCountError, InvalidParamsError, NotDelzantError
 
 from reference_forms import reference_form_automorphisms
 from reference_polygons import mat_vec
-from support import rand_affine, rand_params
+from support import fraction_counts, rand_affine, rand_params
 from test_polygon_oracle import cut_corners
 
 
@@ -186,6 +186,21 @@ def test_builders_make_no_points_until_the_vertices_are_read(monkeypatch):
     assert len(std.vertices) == 4 and len(images[2].vertices) == len(ngon)
     assert calls == 2 + 4 + len(ngon)  # built once, on the first read
     assert std.vertices is std.vertices and calls == 2 + 4 + len(ngon)
+
+
+def test_matching_the_witness_images_builds_no_fraction():
+    """Work counter: points hash the triples they compare, so checking a
+    classification witness the way the quad-census benchmark does, as a set
+    of vertex images against the standard trapezoid's vertices, builds and
+    hashes no ``Fraction``."""
+    trapezoid = standard_trapezoid(HirzebruchParams(Fraction(5, 2), 1, 3))
+    moved = apply_map(trapezoid, UnimodularAffine(((1, 2), (1, 1)), (3, Fraction(1, 2))))
+    poly = jsonio.polygon_from_json(jsonio.polygon_to_json(moved))
+    params, t = classify_quadrilateral(poly)
+    std = standard_trapezoid(params)
+    with fraction_counts() as counts:
+        matched = {t.apply(v) for v in poly.vertices} == set(std.vertices)
+    assert matched and counts == {"new": 0, "hash": 0}
 
 
 def test_algorithms_build_no_edge_data_until_it_is_read(monkeypatch):

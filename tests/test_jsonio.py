@@ -331,13 +331,19 @@ rational_texts = st.builds(
 def test_decoded_points_equal_constructed_points(a, b):
     """A point decoded from two texts is the point the constructor builds
     from them: equal, with the same hash and repr and the same canonical
-    triple, and so are its copies, taken before and after x is read."""
+    triple, and so are its copies, taken before and after x is read.  The
+    triple is all that a point stores, from either builder or as the image
+    of a map, before and after x and y are read."""
     decoded, built = jsonio.point_from_json([a, b]), RatVec2(a, b)
+    image = UnimodularAffine(((1, 1), (0, 1)), (1, Fraction(-1, 3))).apply(decoded)
     x, y, d = decoded._xyd
     assert decoded._xyd == built._xyd and d > 0 and math.gcd(x, y, d) == 1
+    assert all(vars(p) == {"_xyd": p._xyd} for p in (decoded, built, image))
     twins = [twin(p) for p in (jsonio.point_from_json([a, b]), built)
              for twin in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p)))]
     assert decoded == built and hash(decoded) == hash(built) and repr(decoded) == repr(built)
+    assert (image.x, image.y) == (built.x + built.y + 1, built.y - Fraction(1, 3))
+    assert all(vars(p) == {"_xyd": p._xyd} for p in (decoded, built, image))
     for twin in twins + [twin(decoded) for twin in (copy.copy, copy.deepcopy)]:
         assert type(twin) is RatVec2 and twin == built and twin._xyd == built._xyd
         assert hash(twin) == hash(built) and repr(twin) == repr(built)

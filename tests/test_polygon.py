@@ -31,7 +31,7 @@ from delzant.errors import (
 )
 
 from reference_polygons import vec_add, vec_sub
-from support import rand_affine, rand_params
+from support import fraction_counts, rand_affine, rand_params
 from test_polygon_oracle import convex_hull, cut_corners
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -205,6 +205,18 @@ def test_decoding_a_256_gon_builds_fractions_only_for_its_edges(monkeypatch):
     assert len(poly) == 256 and count == 256
     assert is_delzant(poly).is_delzant and congruent(poly, poly) is not None
     assert count == 256
+
+
+def test_hashing_a_decoded_256_gon_builds_no_fraction():
+    """Work counter: a polygon hashes the vertex triples it compares, so the
+    hash of a decoded 256-gon builds and hashes no ``Fraction``."""
+    square = make_polygon([(0, 0), (4096, 0), (4096, 4096), (0, 4096)])
+    data = jsonio.polygon_to_json(cut_corners(square, Random(256), 252))
+    poly = jsonio.polygon_from_json(data)
+    with fraction_counts() as counts:
+        digest = hash(poly)
+    assert len(poly) == 256 and counts == {"new": 0, "hash": 0}
+    assert digest == hash((poly._pts,))
 
 
 def test_edge_data_unit_square():
