@@ -25,7 +25,10 @@ The corpora:
 * ``graphs``: ``graphs_isomorphic`` answers, plain and ``up_to_flip``, and
   ``check_extendable`` reports: the 12,000 random graphs and 150 tied
   bipartite pairs of the reference tests, and the circle graphs of every
-  ``ngon-scale`` input of seeds 1001-1003;
+  ``ngon-scale`` input of seeds 1001-1003.  Each random graph adds its
+  ``fixed_point_data`` (or the error it raises) and its DOT text; each
+  circle graph adds its ``repr``, which shows the node order,
+  ``fixed_point_data``, ``betti_numbers`` and DOT text;
 * ``work``: private work counts that tests pin: the ``Fraction``s built
   and hashed when a 256-gon is decoded, checked and hashed and when
   ``quad-census`` matches witness images, and the ``_refined_colours``
@@ -172,7 +175,16 @@ def polygons_corpus():
 
 def graphs_corpus():
     import gen
-    from delzant import IntVec2, check_extendable, circle_graph, graphs_isomorphic
+    from delzant import (
+        IntVec2,
+        betti_numbers,
+        check_extendable,
+        circle_graph,
+        fixed_point_data,
+        graphs_isomorphic,
+    )
+    from delzant.errors import DelzantError
+    from delzant.jsonio import graph_to_dot
     from reference_graphs import flip_graph
     from support import (
         mixed_denominator_cases,
@@ -185,11 +197,18 @@ def graphs_corpus():
     def answers(g, h):
         return [graphs_isomorphic(g, h), graphs_isomorphic(g, h, up_to_flip=True)]
 
+    def fixed(g):
+        try:
+            return repr(fixed_point_data(g))
+        except DelzantError as exc:
+            return _error(exc)
+
     # the corpus of the random-graph reference test, drawn the same way
     rng, mix = Random(36), Random(37)
     for step in range(12_000):
         g = random_graph(rng, discrete=step >= 10_000)
-        record = [f"random {step}", repr(check_extendable(g)), *answers(g, relabelled(rng, g))]
+        record = [f"random {step}", repr(check_extendable(g)), fixed(g), graph_to_dot(g),
+                  *answers(g, relabelled(rng, g))]
         for kind, h in mixed_denominator_cases(mix, g) if step % 2 == 0 else ():
             record += [kind, *answers(g, h)]
         yield record
@@ -204,7 +223,10 @@ def graphs_corpus():
             image = circle_graph(q, IntVec2(*item["image_xi"]))
             levels = circle_graph(tied, IntVec2(0, 1))
             record = [f"ngon-scale {seed} {k}"]
-            record += [repr(check_extendable(g)) for g in (*graphs, image, levels)]
+            for g in (*graphs, image, levels):
+                data = fixed_point_data(g)
+                record += [repr(g), repr(check_extendable(g)), repr(data),
+                           repr(betti_numbers(data)), graph_to_dot(g)]
             for g, h in ((graphs[0], image), (graphs[0], flip_graph(image)),
                          (graphs[0], graphs[1]), (graphs[0], graphs[2]), (levels, levels),
                          (levels, permuted(rng, levels)), (levels, flip_graph(levels))):
