@@ -18,12 +18,13 @@ edge:
     nodes containing its endpoints.  Speed-1 spheres carry no isotropy
     and are not recorded.
 
-``circle_graph`` orders the nodes without a sort, by merging the two
-chains of vertices along which the moment rises from the minimum, one
-each way round the boundary.  Graph values are checked only by the
-public constructors of the graph types, which ``jsonio`` decodes
-through; ``circle_graph`` builds values that are valid by construction
-and skips the checks.
+Both builders of a graph, ``circle_graph`` and the ``LabeledGraph``
+constructor, rank its node moments once, with ``_moment_ranks``, and
+keep each node's rank among the distinct moments in the hidden ``_rank``
+tuple; the graph algorithms read the extrema and the levels from it.
+Graph values are checked only by the public constructors of the graph
+types, which ``jsonio`` decodes through; ``circle_graph`` builds values
+that are valid by construction and skips the checks.
 
 Two graphs are isomorphic when they match node-for-node and
 edge-for-edge after translating both moment scales to start at 0.
@@ -156,8 +157,9 @@ class LabeledGraph(_Value):
             raise GraphError("graph edges must be a sequence of ZkEdge values")
         if not nodes:
             raise GraphError("graph needs at least one node")
-        pairs, lo, hi = _moment_pairs(nodes)
-        if pairs.count(lo) != 1 or (lo != hi and pairs.count(hi) != 1):
+        order, ranks = _moment_ranks(*zip(*(node.moment.as_integer_ratio() for node in nodes)),
+                                     range(len(nodes)))
+        if len(nodes) > 1 and (ranks[1] == 0 or ranks[-2] == ranks[-1]):
             raise GraphError("moment extrema must each be attained by exactly one node")
         for e in edges:
             i, j = e.endpoints
@@ -167,20 +169,23 @@ class LabeledGraph(_Value):
                 raise GraphError(
                     f"edge interval {e.moment_interval} does not match endpoint moments"
                 )
-        self.__dict__.update(nodes=nodes, edges=edges)
+        self.__dict__.update(nodes=nodes, edges=edges,
+                             _rank=tuple(r for _, r in sorted(zip(order, ranks))))
 
 
-def _moment_pairs(nodes) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int]]:
-    """Each node's moment as its reduced (numerator, denominator) pair, and
-    the least and the greatest pair, found in one pass by cross products."""
-    pairs = [node.moment.as_integer_ratio() for node in nodes]
-    lo = hi = pairs[0]
-    for a, b in pairs:
-        if a * lo[1] < lo[0] * b:
-            lo = (a, b)
-        elif a * hi[1] > hi[0] * b:
-            hi = (a, b)
-    return pairs, lo, hi
+def _moment_ranks(num, den, indices) -> tuple[list[int], list[int]]:
+    """``indices`` sorted by the moment num[i] / den[i] (den[i] > 0), ties
+    by index, and the rank of each one's moment among the distinct moments,
+    in that order.  Moments are compared by integer cross products, with no
+    common denominator."""
+    order = sorted(indices, key=cmp_to_key(
+        lambda i, j: num[i] * den[j] - num[j] * den[i] or i - j))
+    ranks, r, prev = [], 0, order[0]
+    for i in order:
+        r += num[i] * den[prev] != num[prev] * den[i]
+        ranks.append(r)
+        prev = i
+    return order, ranks
 
 
 def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
@@ -193,16 +198,12 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     weights are the adjacent speeds (s_i, -s_{i-1}).
 
     Vertex i, stored as the triple (x, y, d), has the moment
-    <xi, (x, y)> / d, and moments are compared as integer cross products.
-    On a strictly convex boundary the speeds are positive on one cyclic
-    run of edges, which starts at the minimum vertex (the i with
-    s_{i-1} <= 0 < s_i, so the head of a bottom level edge).  Walking
-    forwards from it along that run, and backwards from the vertex before
-    it, gives two chains that rise strictly to the top, so one merge on
-    (moment, vertex index) orders the nodes in at most n comparisons.
-    The ranks of the distinct moments are read off the merged order, and
-    the Z_k edges are sorted by the int tuples (lower rank, upper rank, k,
-    lower node, upper node, edge index).
+    <xi, (x, y)> / d.  ``_moment_ranks`` orders the vertices that stand
+    for nodes on (moment, vertex index), by integer cross products, and
+    ranks their distinct moments; the moment rises and then falls once
+    round a convex boundary, so the sort finds at most three runs and
+    makes O(n) comparisons.  The Z_k edges are sorted by the int tuples (lower rank,
+    upper rank, k, lower node, upper node, edge index).
 
     The values are valid by construction, so they are stored without the
     checks of the public constructors; the property tests rebuild graphs
@@ -220,35 +221,13 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     # vertex i = (x/d, y/d) has moment num[i] / den[i] = <xi, (x, y)> / d, not reduced
     num = [xi.x * x + xi.y * y for x, y, _ in poly._pts]
     den = [d for _, _, d in poly._pts]
-
-    def below(i: int, j: int) -> bool:  # vertex i comes before vertex j
-        diff = num[i] * den[j] - num[j] * den[i]
-        return diff < 0 or diff == 0 and i < j
-
-    start = next(i for i in range(n) if speeds[i - 1] <= 0 < speeds[i])
-    walk = [*range(start, n), *range(start)]
-    top = next(k for k, i in enumerate(walk) if speeds[i] <= 0)
-    # walk[:top + 1] forwards and walk[top + 1:] backwards, without the
-    # heads of level edges
-    up = [i for i in walk[:top + 1] if speeds[i - 1]]
-    down = [i for i in walk[:top:-1] if speeds[i - 1]]
-    order, j = [], 0
-    for i in up:
-        while j < len(down) and below(down[j], i):
-            order.append(down[j])
-            j += 1
-        order.append(i)
-    order += down[j:]
+    # every vertex but the head of a level edge stands for a node
+    order, rank = _moment_ranks(num, den, [i for i in range(n) if speeds[i - 1]])
 
     new = object.__new__
     nodes: list[GraphNode] = []
-    rank: list[int] = []  # each node's moment rank among the distinct moments
     node_of_vertex = [0] * n
-    r, prev = 0, order[0]
     for i in order:
-        r += num[i] * den[prev] != num[prev] * den[i]
-        rank.append(r)
-        prev = i
         node_of_vertex[i] = len(nodes)
         moment = Fraction(num[i], den[i])
         node = new(FatVertex if speeds[i] == 0 else IsolatedPoint)
@@ -274,7 +253,7 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
                              moment_interval=(nodes[lo].moment, nodes[hi].moment))
         zk_edges.append(edge)
     graph = new(LabeledGraph)
-    graph.__dict__.update(nodes=tuple(nodes), edges=tuple(zk_edges))
+    graph.__dict__.update(nodes=tuple(nodes), edges=tuple(zk_edges), _rank=tuple(rank))
     return graph
 
 
@@ -336,10 +315,12 @@ def _node_labels(g: LabeledGraph, flipped: bool = False) -> list[tuple]:
     """Each node's label, with its moment translated to start at 0 as a
     reduced int pair; ``flipped`` labels the flip of g, the graph of the
     reversed direction, whose moments and weights are negated."""
-    pairs, lo, hi = _moment_pairs(g.nodes)
-    (base, base_den), sign = (hi, -1) if flipped else (lo, 1)
+    rank = g._rank
+    base, base_den = g.nodes[rank.index(max(rank) if flipped else 0)].moment.as_integer_ratio()
+    sign = -1 if flipped else 1
     labels = []
-    for node, (a, b) in zip(g.nodes, pairs):
+    for node in g.nodes:
+        a, b = node.moment.as_integer_ratio()
         num, den = sign * (a * base_den - base * b), b * base_den
         d = gcd(num, den)
         moment = (num // d, den // d)
@@ -458,13 +439,13 @@ def fixed_point_data(g: LabeledGraph) -> FixedPointData:
     get 0 at the minimum and 2 at the maximum.  A surface at any other
     level cannot occur for a moment-map projection and is an error.
     """
-    pairs, lo, hi = _moment_pairs(g.nodes)
+    top = max(g._rank)
     components: list[FixedComponent] = []
-    for node, pair in zip(g.nodes, pairs):
+    for node, r in zip(g.nodes, g._rank):
         if isinstance(node, FatVertex):
-            if pair == lo:
+            if r == 0:
                 components.append(SurfaceFixed(0, node.genus))
-            elif pair == hi:
+            elif r == top:
                 components.append(SurfaceFixed(2, node.genus))
             else:
                 raise InteriorFixedSurfaceError(
@@ -522,11 +503,11 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
     between consecutive critical values, so checking the critical values
     and the midpoints between them decides every level.
 
-    The levels are ranked by sorting the nodes on their moments' reduced
-    int pairs, compared by cross products, so no ``Fraction`` is compared.
-    One sweep over the sorted critical values keeps the number of
-    spheres crossing the current level, so with n nodes and E edges the
-    check costs O(n log n + E).
+    The levels are the node ranks the graph keeps, so nothing is sorted
+    and no ``Fraction`` is compared.  One sweep over the critical values
+    in rank order keeps the number of spheres crossing the current level,
+    so with n nodes and E edges the check costs O(n + E) once the graph
+    is built.
     """
     violations: list[Violation] = []
     for node in g.nodes:
@@ -542,24 +523,13 @@ def check_extendable(g: LabeledGraph) -> ExtendabilityReport:
     # every edge interval runs between the moments of its endpoint nodes (the
     # LabeledGraph constructor checks it, and circle_graph builds it so), so
     # the node moments are all the critical values
-    pairs = [node.moment.as_integer_ratio() for node in g.nodes]
-
-    def cross(i: int, j: int) -> int:  # the sign of moment i - moment j
-        return pairs[i][0] * pairs[j][1] - pairs[j][0] * pairs[i][1]
-
-    critical: list[Fraction] = []
-    node_rank = [0] * len(g.nodes)
-    last = None
-    for i in sorted(range(len(g.nodes)), key=cmp_to_key(cross)):
-        if pairs[i] != last:  # reduced pairs are equal exactly when the moments are
-            critical.append(g.nodes[i].moment)
-            last = pairs[i]
-        node_rank[i] = len(critical) - 1
-    isolated = Counter(
-        node_rank[i] for i, node in enumerate(g.nodes) if isinstance(node, IsolatedPoint)
-    )
-    opened = Counter(node_rank[e.endpoints[0]] for e in g.edges)
-    closed = Counter(node_rank[e.endpoints[1]] for e in g.edges)
+    rank = g._rank
+    critical: list = [None] * (max(rank) + 1)
+    for node, r in zip(g.nodes, rank):
+        critical[r] = node.moment
+    isolated = Counter(r for node, r in zip(g.nodes, rank) if isinstance(node, IsolatedPoint))
+    opened = Counter(rank[e.endpoints[0]] for e in g.edges)
+    closed = Counter(rank[e.endpoints[1]] for e in g.edges)
 
     def report(level: Fraction, count: int):
         violations.append(Violation("level", level, f"{count} non-free orbits at level {level}"))

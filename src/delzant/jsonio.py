@@ -47,6 +47,8 @@ DOT output is deterministic: nodes appear in the graph's stored order
 (``circle_graph`` orders them by moment, ties by vertex index;
 ``LabeledGraph`` keeps the order it is given), fixed surfaces are drawn
 as boxes, and each isotropy sphere is an undirected edge labeled "Z_k".
+Nodes are grouped by the moment rank the graph keeps, one "rank=same"
+line per level, in the order the levels first appear.
 """
 
 from __future__ import annotations
@@ -270,9 +272,9 @@ def xi_from_text(text: str) -> IntVec2:
 def graph_to_dot(g: LabeledGraph) -> str:
     """Graphviz rendering with nodes grouped by moment level."""
     lines = ["graph labeled_graph {", "  rankdir=BT;", '  node [fontsize=10];']
-    levels: dict[Fraction, list[str]] = {}  # moment -> node names, in first-seen order
-    for i, node in enumerate(g.nodes):
-        levels.setdefault(node.moment, []).append(f"n{i}")
+    levels: dict[int, list[str]] = {}  # moment rank -> node names, in first-seen order
+    for i, (node, rank) in enumerate(zip(g.nodes, g._rank)):
+        levels.setdefault(rank, []).append(f"n{i}")
         if isinstance(node, IsolatedPoint):
             label = f"moment {node.moment!s}\\nweights {node.weights[0]}, {node.weights[1]}"
             shape = "circle"

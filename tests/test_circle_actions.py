@@ -342,6 +342,16 @@ def test_graph_invariants_enforced():
         )
     with pytest.raises(GraphError, match="exactly one fixed component"):
         FixedPointData((IsolatedFixed(0), SurfaceFixed(0), IsolatedFixed(4)))
+    # each extremum is checked in either node order: a tied maximum is
+    # refused, a tie strictly between the extrema and a single node are not
+    for moments, valid in (((0, 1, 1), False), ((0, 1, 1, 2), True), ((0,), True)):
+        nodes = tuple(IsolatedPoint(m, (1, 1)) for m in moments)
+        for order in (nodes, nodes[::-1]):
+            if valid:
+                assert LabeledGraph(order).nodes == order
+            else:
+                with pytest.raises(GraphError, match="extrema"):
+                    LabeledGraph(order)
 
 
 @pytest.mark.parametrize(
@@ -523,6 +533,26 @@ def test_circle_graph_skips_the_constructor_checks(monkeypatch):
     # the patch does count what the public constructors build
     LabeledGraph((IsolatedPoint(0, (1, 1)),))
     assert built == 2
+
+
+def test_a_decoded_graph_ranks_its_moments_once(monkeypatch):
+    """Decoding ranks the node moments; checking extendability, reading
+    the fixed-point data and drawing the DOT text reuse those ranks."""
+    poly = cut_corners(standard_trapezoid(HirzebruchParams(3, 1, 1)), Random(5), 252)
+    text = jsonio.graph_to_json(circle_graph(poly, IntVec2(101, 103)))  # no level edge
+    calls, rank = [], circle_actions._moment_ranks
+
+    def counted(*args):
+        calls.append(None)
+        return rank(*args)
+
+    monkeypatch.setattr(circle_actions, "_moment_ranks", counted)
+    g = jsonio.graph_from_json(text)
+    assert len(g.nodes) == 256
+    assert check_extendable(g).extendable
+    assert betti_numbers(fixed_point_data(g)) == (1, 0, 254, 0, 1)
+    assert jsonio.graph_to_dot(g).count("rank=same") == 256
+    assert len(calls) == 1
 
 
 def _tied_levels_graph(levels: int, rewired: bool) -> LabeledGraph:
