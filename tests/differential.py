@@ -11,8 +11,10 @@ and its inputs (``tests/golden``, ``perfbench/gen.py`` and the test
 helpers) always come from the working tree, so both trees answer the
 same questions.  A corpus is a list of records, written one JSON line
 each; the script prints the SHA-256 of those lines per corpus and tree,
-and where two trees differ, the first differing record from each.  The
-exit status is 1 when a corpus differs, else 0.
+and where two trees differ, the first differing record from each.  It
+also prints each tree's line count of ``src/delzant/*.py`` (as ``wc -l``
+counts it), which is not compared.  The exit status is 1 when a corpus
+differs, else 0.
 
 The corpora:
 
@@ -21,14 +23,19 @@ The corpora:
   1001-1003, and on 1,500 argv calls drawn as the argv fuzzer draws them;
 * ``polygons``: the ``repr`` of every ``quad-census`` and ``ngon-scale``
   input polygon of seeds 1001-1003 once decoded, with its classification,
-  its ``congruent`` witnesses and their ``apply_map`` images;
+  its ``congruent`` witnesses and their ``apply_map`` images, and the
+  outcome (value or error) of ``form_automorphisms`` on a fixed table of
+  raw matrices and bounds, malformed ones included;
 * ``graphs``: ``graphs_isomorphic`` answers, plain and ``up_to_flip``, and
   ``check_extendable`` reports: the 12,000 random graphs and 150 tied
   bipartite pairs of the reference tests, and the circle graphs of every
   ``ngon-scale`` input of seeds 1001-1003.  Each random graph adds its
   ``fixed_point_data`` (or the error it raises) and its DOT text; each
   circle graph adds its ``repr``, which shows the node order,
-  ``fixed_point_data``, ``betti_numbers`` and DOT text;
+  ``fixed_point_data``, ``betti_numbers`` and DOT text.  Last, the
+  outcome of ``circle_graph`` on the unit square for a fixed table of
+  directions, malformed ones included, and on a polygon that is not
+  Delzant;
 * ``work``: private work counts that tests pin: the ``Fraction``s built
   and hashed when a 256-gon is decoded, checked and hashed and when
   ``quad-census`` matches witness images, and the ``_refined_colours``
@@ -49,6 +56,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -65,6 +73,14 @@ SHOWN = 400  # characters of a differing record shown from each tree
 
 def _error(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _outcome(call, *args) -> str:
+    """The ``repr`` of ``call(*args)``, or the error it raises."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # any class, so that a changed one shows as a record
+        return _error(exc)
 
 
 def _decode(text: str):
@@ -163,14 +179,47 @@ def _ngon_record(item: dict) -> list[str]:
     return parts
 
 
+def _form_table():
+    """(form, bound) pairs for ``form_automorphisms``: the two named forms,
+    the identity and an anisotropic form, then malformed forms and bounds."""
+    hyperbolic, blowup, identity = ((0, 1), (1, 0)), ((1, 0), (0, -1)), ((1, 0), (0, 1))
+    anisotropic = ((1, 0), (0, -2))  # -det = 2 is no square: the scan runs to the bound
+    good = [(form, bound) for form in (hyperbolic, blowup, identity) for bound in (1, 3, 5)]
+    good += [(anisotropic, 3), (anisotropic, 10), (((2, 1), (1, -3)), 4),
+             ([[0, 1], [1, 0]], 3), ([(1, 0), [0, -1]], 2)]
+    forms = [[1, 2], ((0, 1), (1, 0.5)), ((0, 1), (1, Fraction(1))), ((True, 0), (0, 1)),
+             ((0, 1), (2, 0)), ((1, 1), (1, 1)), ((0, 0), (0, 0)), ((1, 0, 0), (0, 1)),
+             ((1, 0), (0, 1), (0, 0)), "ab", 5, None, ()]
+    bounds = [0, -1, True, False, 2.0, "3", None]
+    return (good + [(form, 3) for form in forms] + [(hyperbolic, bound) for bound in bounds]
+            + [(form, 0) for form in ([1, 2], ((0, 1), (2, 0)), ((1, 1), (1, 1)))])
+
+
 def polygons_corpus():
     import gen
+    from delzant import form_automorphisms
 
     for seed in SEEDS:
         for k, item in enumerate(gen.quad_census(seed)):
             yield [f"quad-census {seed} {k}", *_quad_record(item["polygon"])]
         for k, item in enumerate(gen.ngon_scale(seed)):
             yield [f"ngon-scale {seed} {k}", *_ngon_record(item)]
+    for form, bound in _form_table():
+        yield ["form_automorphisms", repr(form), repr(bound),
+               _outcome(form_automorphisms, form, bound)]
+
+
+def _direction_table():
+    """Directions for ``circle_graph``: primitive ones as an ``IntVec2``,
+    a tuple and a list, then multiples and values that are no direction."""
+    from delzant import IntVec2
+
+    primitive = [(1, 0), (0, -1), (2, 3), (-1, 1), (-3, 2)]
+    return ([IntVec2(*xi) for xi in primitive] + primitive + [list(xi) for xi in primitive]
+            + [IntVec2(2, 4), (2, 4), [0, 5], (-3, 0), (6, -9), IntVec2(0, 0), (0, 0), [0, 0],
+               (True, False), (1, False), (True, 0), [False, True], (1.0, 0), (0.5, 1),
+               (1, 2.0), ("1", "0"), "10", "1", (Fraction(1), 0), (Fraction(1, 2), 1),
+               5, None, (1, 2, 3), (1,), [], IntVec2])
 
 
 def graphs_corpus():
@@ -182,6 +231,7 @@ def graphs_corpus():
         circle_graph,
         fixed_point_data,
         graphs_isomorphic,
+        make_polygon,
     )
     from delzant.errors import DelzantError
     from delzant.jsonio import graph_to_dot
@@ -232,6 +282,13 @@ def graphs_corpus():
                          (levels, permuted(rng, levels)), (levels, flip_graph(levels))):
                 record += answers(g, h)
             yield record
+
+    square = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    for xi in _direction_table():
+        yield ["circle_graph direction", repr(xi), _outcome(circle_graph, square, xi)]
+    not_delzant = make_polygon([(0, 0), (2, 0), (0, 1)])  # the direction is checked first
+    yield ["circle_graph direction, not Delzant",
+           *(_outcome(circle_graph, not_delzant, xi) for xi in ((0, 1), (2, 4), None))]
 
 
 def work_corpus():
@@ -353,6 +410,11 @@ def differences(path1: Path, path2: Path) -> tuple[int, int, str, str]:
     return (count, *first)
 
 
+def src_lines(src: Path) -> int:
+    """The line count of ``src/delzant/*.py``, as ``wc -l`` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "delzant").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", metavar="REV",
@@ -382,6 +444,8 @@ def main(argv=None) -> int:
                 print(f"{name}: {count} records differ; the first is record {index}")
                 for label, line, other in zip(trees, (a, b), (b, a)):
                     print(f"  {label}: {_shown(line, other)}")
+        for label, src in trees.items():
+            print(f"{'lines':9} {src_lines(src):6} in src/delzant/*.py  {label}")
     return 1 if differ else 0
 
 
