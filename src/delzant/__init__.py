@@ -10,7 +10,6 @@ used anywhere.
 """
 
 from .circle_actions import (
-    CircleDirection,
     ExtendabilityReport,
     FatVertex,
     FixedPointData,
@@ -32,7 +31,6 @@ from .hirzebruch import (
     HYPERBOLIC_FORM,
     BlowUp,
     HirzebruchParams,
-    IntersectionForm,
     ManifoldClass,
     SphereProduct,
     classify_quadrilateral,

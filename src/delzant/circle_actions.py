@@ -68,26 +68,6 @@ from .lattice import IntVec2, _as_tuple, _Value, as_rational, is_int
 from .polygon import Polygon, _delzant_failures
 
 
-class CircleDirection(_Value):
-    """Primitive generator of a circle subgroup of the 2-torus.
-
-    Non-primitive input is rejected rather than reduced: a non-primitive
-    vector does not generate an embedded circle, so silently dividing by
-    the gcd would paper over a caller bug.
-    """
-
-    _fields = ("xi",)
-
-    def __init__(self, xi: IntVec2):
-        if not isinstance(xi, IntVec2):
-            if (pair := _as_tuple(xi, 2)) is None or any(type(v) is not int for v in pair):
-                raise NonPrimitiveDirectionError(f"direction {xi!r} is not a pair of integers")
-            xi = IntVec2(*pair)
-        if gcd(xi.x, xi.y) != 1:
-            raise NonPrimitiveDirectionError(f"direction {(xi.x, xi.y)} is not primitive")
-        self.__dict__.update(xi=xi)
-
-
 class IsolatedPoint(_Value):
     """Isolated fixed point with its two nonzero isotropy weights, sorted."""
 
@@ -188,8 +168,13 @@ def _moment_ranks(num, den, indices) -> tuple[list[int], list[int]]:
     return order, ranks
 
 
-def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
+def circle_graph(poly: Polygon, direction: IntVec2 | tuple[int, int]) -> LabeledGraph:
     """Labeled graph of the circle subaction with primitive direction xi.
+
+    xi is an ``IntVec2`` or a pair of ints; anything else raises
+    ``NonPrimitiveDirectionError``, as does a non-primitive xi.  That is
+    rejected rather than reduced: it generates no embedded circle, so
+    silently dividing by the gcd would paper over a caller bug.
 
     One walk over the polygon's edges: edge i has speed s_i = <xi, d_i>,
     and the moment rises along it when s_i > 0.  A level edge (s_i = 0)
@@ -209,17 +194,20 @@ def circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> Labeled
     checks of the public constructors; the property tests rebuild graphs
     through those constructors and compare.
     """
-    if not isinstance(direction, CircleDirection):
-        direction = CircleDirection(direction)
-    xi = direction.xi
+    xi = (direction.x, direction.y) if isinstance(direction, IntVec2) else _as_tuple(direction, 2)
+    if xi is None or any(type(e) is not int for e in xi):
+        raise NonPrimitiveDirectionError(f"direction {direction!r} is not a pair of integers")
+    u, v = xi
+    if gcd(u, v) != 1:
+        raise NonPrimitiveDirectionError(f"direction {(u, v)} is not primitive")
     if failures := _delzant_failures(poly):
         raise NotDelzantError(failures)
 
     edges = poly._edges
     n = len(edges)
-    speeds = [xi.x * dx + xi.y * dy for dx, dy, _ in edges]
+    speeds = [u * dx + v * dy for dx, dy, _ in edges]
     # vertex i = (x/d, y/d) has moment num[i] / den[i] = <xi, (x, y)> / d, not reduced
-    num = [xi.x * x + xi.y * y for x, y, _ in poly._pts]
+    num = [u * x + v * y for x, y, _ in poly._pts]
     den = [d for _, _, d in poly._pts]
     # every vertex but the head of a level edge stands for a node
     order, rank = _moment_ranks(num, den, [i for i in range(n) if speeds[i - 1]])

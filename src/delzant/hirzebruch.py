@@ -107,26 +107,8 @@ class BlowUp(_Value):
 ManifoldClass = SphereProduct | BlowUp
 
 
-class IntersectionForm(_Value):
-    """Symmetric nondegenerate 2x2 integer matrix."""
-
-    _fields = ("matrix",)
-
-    def __init__(self, matrix: Mat2):
-        m = _as_mat2(matrix)
-        if m is None:
-            raise InvalidParamsError("intersection form must be 2x2")
-        if not all(is_int(e) for r in m for e in r):
-            raise InvalidParamsError("intersection form must have integer entries")
-        if m[0][1] != m[1][0]:
-            raise InvalidParamsError(f"intersection form must be symmetric, got {m}")
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
-            raise InvalidParamsError("intersection form must be nondegenerate")
-        self.__dict__.update(matrix=m)
-
-
-HYPERBOLIC_FORM = IntersectionForm(((0, 1), (1, 0)))
-BLOWUP_FORM = IntersectionForm(((1, 0), (0, -1)))
+HYPERBOLIC_FORM: Mat2 = ((0, 1), (1, 0))
+BLOWUP_FORM: Mat2 = ((1, 0), (0, -1))
 
 
 def standard_trapezoid(params: HirzebruchParams) -> Polygon:
@@ -228,9 +210,12 @@ def count_tori(manifold: ManifoldClass) -> int:
     return _trapezoid_data(manifold)[2]
 
 
-def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[Mat2, ...]:
+def form_automorphisms(form: Mat2, bound: int = 3) -> tuple[Mat2, ...]:
     """All integer matrices M with entries in [-bound, bound], det +1 or -1,
     and transpose(M) Q M = Q, sorted by entries.
+
+    Q, a pair of rows, must be 2x2, int, symmetric and nondegenerate, and
+    the bound a positive int; else ``InvalidParamsError``, checked in that order.
 
     For the two forms of interest the result is independent of the bound:
     every solution already has entries in {-1, 0, 1}.  The search pairs
@@ -256,7 +241,15 @@ def form_automorphisms(form: IntersectionForm | Mat2, bound: int = 3) -> tuple[M
     form has -det Q > 0 and not a square, and an infinite group, so the
     scan runs to the bound.
     """
-    q = (form if isinstance(form, IntersectionForm) else IntersectionForm(form)).matrix
+    q = _as_mat2(form)
+    if q is None:
+        raise InvalidParamsError("intersection form must be 2x2")
+    if not all(is_int(e) for row in q for e in row):
+        raise InvalidParamsError("intersection form must have integer entries")
+    if q[0][1] != q[1][0]:
+        raise InvalidParamsError(f"intersection form must be symmetric, got {q}")
+    if q[0][0] * q[1][1] - q[0][1] * q[1][0] == 0:
+        raise InvalidParamsError("intersection form must be nondegenerate")
     if not is_int(bound) or bound < 1:
         raise InvalidParamsError(f"bound must be a positive integer, got {bound!r}")
     (q00, q01), (_, q11) = q

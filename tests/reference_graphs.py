@@ -16,9 +16,9 @@ node labels, without building the flipped graph.
 """
 
 from itertools import permutations
+from math import gcd
 
 from delzant import (
-    CircleDirection,
     ExtendabilityReport,
     FatVertex,
     IntVec2,
@@ -31,18 +31,18 @@ from delzant import (
     is_delzant,
 )
 from delzant.circle_actions import GraphNode
-from delzant.errors import NotDelzantError
+from delzant.errors import NonPrimitiveDirectionError, NotDelzantError
 
 
 def _dot(u, w):
     return u.x * w.x + u.y * w.y
 
 
-def reference_circle_graph(poly: Polygon, direction: CircleDirection | IntVec2) -> LabeledGraph:
+def reference_circle_graph(poly: Polygon, direction: IntVec2 | tuple[int, int]) -> LabeledGraph:
     """Labeled graph of the circle subaction with primitive direction xi."""
-    if not isinstance(direction, CircleDirection):
-        direction = CircleDirection(direction)
-    xi = direction.xi
+    xi = direction if isinstance(direction, IntVec2) else IntVec2(*direction)
+    if gcd(xi.x, xi.y) != 1:
+        raise NonPrimitiveDirectionError(f"direction {(xi.x, xi.y)} is not primitive")
     report = is_delzant(poly)
     if not report.is_delzant:
         raise NotDelzantError(report.failures)

@@ -8,7 +8,6 @@ from random import Random
 import pytest
 
 from delzant import (
-    CircleDirection,
     FatVertex,
     FixedPointData,
     HirzebruchParams,
@@ -65,19 +64,27 @@ UNIT_SQUARE = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 def test_direction_must_be_primitive():
     with pytest.raises(NonPrimitiveDirectionError):
-        CircleDirection(IntVec2(2, 4))
+        circle_graph(UNIT_SQUARE, IntVec2(2, 4))
     with pytest.raises(NonPrimitiveDirectionError):
-        CircleDirection(IntVec2(0, 0))
-    CircleDirection(IntVec2(-2, 3))
+        circle_graph(UNIT_SQUARE, IntVec2(0, 0))
+    circle_graph(UNIT_SQUARE, IntVec2(-2, 3))
 
 
 @pytest.mark.parametrize("xi", [(1.0, 0), ("1", "0"), (True, 0)])
 def test_direction_pair_with_a_non_int_entry_is_no_direction(xi):
     """A pair whose entries are not exact ints raises the same error as a
-    value that is no pair, from the constructor and from ``circle_graph``."""
-    for build in (CircleDirection, lambda xi: circle_graph(UNIT_SQUARE, xi)):
-        with pytest.raises(NonPrimitiveDirectionError, match="is not a pair of integers"):
-            build(xi)
+    value that is no pair."""
+    with pytest.raises(NonPrimitiveDirectionError, match="is not a pair of integers"):
+        circle_graph(UNIT_SQUARE, xi)
+
+
+def test_a_direction_is_an_intvec2_a_tuple_or_a_list():
+    """Every primitive direction gives one graph, stored alike, in each shape."""
+    poly = standard_trapezoid(HirzebruchParams(Fraction(7, 2), 1, 3))
+    for xi in primitive_directions(3):
+        graphs = [circle_graph(poly, shape) for shape in (xi, (xi.x, xi.y), [xi.x, xi.y])]
+        assert graphs[0] == graphs[1] == graphs[2], xi
+        assert vars(graphs[0]) == vars(graphs[1]) == vars(graphs[2]), xi
 
 
 def test_circle_graph_requires_delzant():

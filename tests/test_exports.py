@@ -170,6 +170,8 @@ REMOVED_NAMES = [
     "RatVec2.__neg__",
     "delzant.jsonio.rational_to_json",
     "delzant.errors.OutputTooLargeError",
+    "delzant.CircleDirection",
+    "delzant.IntersectionForm",
 ]
 
 

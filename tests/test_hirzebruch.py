@@ -14,7 +14,6 @@ from delzant import (
     BlowUp,
     EdgeData,
     HirzebruchParams,
-    IntersectionForm,
     IntVec2,
     Polygon,
     RatVec2,
@@ -375,7 +374,7 @@ def test_form_automorphisms_counts_stable_across_bounds():
     for bound in (1, 2, 3, 5):
         assert len(form_automorphisms(HYPERBOLIC_FORM, bound)) == 4
         assert len(form_automorphisms(BLOWUP_FORM, bound)) == 4
-        assert len(form_automorphisms(IntersectionForm(((1, 0), (0, 1))), bound)) == 8
+        assert len(form_automorphisms(((1, 0), (0, 1)), bound)) == 8
 
 
 def test_form_automorphisms_exact_sets():
@@ -392,7 +391,7 @@ def test_form_automorphisms_exact_sets():
         ((-1, 0), (0, 1)),
         ((-1, 0), (0, -1)),
     }
-    assert set(form_automorphisms(IntersectionForm(((1, 0), (0, 1))), 3)) == {
+    assert set(form_automorphisms(((1, 0), (0, 1)), 3)) == {
         ((s, 0), (0, t)) for s in (1, -1) for t in (1, -1)
     } | {((0, s), (t, 0)) for s in (1, -1) for t in (1, -1)}
 
@@ -419,14 +418,14 @@ def test_form_automorphisms_against_independent_filter():
             for b in range(-2, 3)
             for c in range(-2, 3)
             for d in range(-2, 3)
-            if a * d - b * c in (1, -1) and preserves(((a, b), (c, d)), form.matrix)
+            if a * d - b * c in (1, -1) and preserves(((a, b), (c, d)), form)
         ]
         assert sorted(brute) == list(form_automorphisms(form, 2))
 
 
 def test_form_automorphisms_agree_with_reference_scan():
     rng = Random(606)
-    forms = [HYPERBOLIC_FORM.matrix, BLOWUP_FORM.matrix]
+    forms = [HYPERBOLIC_FORM, BLOWUP_FORM]
     while len(forms) < 26:
         q00, q01, q11 = (rng.randint(-4, 4) for _ in range(3))
         if q00 * q11 != q01 * q01:
@@ -436,6 +435,7 @@ def test_form_automorphisms_agree_with_reference_scan():
         for bound in range(1, 7):
             found = form_automorphisms(q, bound)
             assert found == reference_form_automorphisms(q, bound), (q, bound)
+            assert form_automorphisms([list(row) for row in q], bound) == found, (q, bound)
             richer += len(found) > 4
     assert richer > 0
 

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from delzant import CircleDirection, IntVec2, RatVec2, UnimodularAffine
+from delzant import IntVec2, RatVec2, UnimodularAffine, circle_graph, make_polygon
 from delzant.errors import (
     DelzantError,
     NonPrimitiveDirectionError,
@@ -17,6 +17,8 @@ from delzant.lattice import as_rational
 
 from reference_polygons import compose, det2, mat_det, vec_sub
 from support import rand_affine
+
+UNIT_SQUARE = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def test_rational_storage_is_reduced():
@@ -42,7 +44,7 @@ def test_as_rational_rejects_floats():
         with pytest.raises(TypeError):
             IntVec2(x, y)
     with pytest.raises(NonPrimitiveDirectionError, match="is not a pair of integers"):
-        CircleDirection((True, False))
+        circle_graph(UNIT_SQUARE, (True, False))
 
 
 @pytest.mark.parametrize("value", [0.5, True, False, None, (1,), [1, 2], b"1", 1j])
@@ -63,19 +65,19 @@ def test_as_rational_raises_a_package_error_for_other_types(value):
     ],
 )
 def test_primitive(vec, expected):
-    """``CircleDirection`` accepts the primitive vector and rejects its multiple."""
-    assert CircleDirection(IntVec2(*expected)).xi == IntVec2(*expected)
+    """``circle_graph`` accepts the primitive vector and rejects its multiple."""
+    assert circle_graph(UNIT_SQUARE, IntVec2(*expected)) == circle_graph(UNIT_SQUARE, expected)
     with pytest.raises(NonPrimitiveDirectionError):
-        CircleDirection(IntVec2(*vec))
+        circle_graph(UNIT_SQUARE, IntVec2(*vec))
 
 
 def test_primitive_rejects_zero():
     with pytest.raises(NonPrimitiveDirectionError, match=r"^direction \(0, 0\) is not primitive$"):
-        CircleDirection(IntVec2(0, 0))
+        circle_graph(UNIT_SQUARE, IntVec2(0, 0))
 
 
 def test_primitive_idempotent():
-    """``CircleDirection`` accepts a vector exactly when the gcd of its entries
+    """``circle_graph`` accepts a direction exactly when the gcd of its entries
     is 1, and always accepts it divided by that gcd."""
     rng = Random(1)
     for _ in range(100):
@@ -84,12 +86,11 @@ def test_primitive_idempotent():
         if g == 0:
             continue
         if g == 1:
-            assert CircleDirection(v).xi == v
+            circle_graph(UNIT_SQUARE, v)
         else:
             with pytest.raises(NonPrimitiveDirectionError):
-                CircleDirection(v)
-        reduced = IntVec2(v.x // g, v.y // g)
-        assert CircleDirection(reduced).xi == reduced
+                circle_graph(UNIT_SQUARE, v)
+        circle_graph(UNIT_SQUARE, IntVec2(v.x // g, v.y // g))
 
 
 @pytest.mark.parametrize(

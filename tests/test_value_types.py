@@ -5,19 +5,18 @@ copy, deepcopy and pickle round trips."""
 import copy
 import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from delzant import (
     BlowUp,
-    CircleDirection,
     DelzantReport,
     EdgeData,
     ExtendabilityReport,
     FatVertex,
     FixedPointData,
     HirzebruchParams,
-    IntersectionForm,
     IntVec2,
     IsolatedFixed,
     IsolatedPoint,
@@ -29,7 +28,9 @@ from delzant import (
     UnimodularAffine,
     Violation,
     ZkEdge,
+    circle_graph,
     edge_data,
+    form_automorphisms,
     make_polygon,
 )
 from delzant.errors import (
@@ -47,6 +48,7 @@ TRIANGLE_REPR = (
     "RatVec2(x=Fraction(0, 1), y=Fraction(1, 1)))"
 )
 NORMALS = (IntVec2(0, 1), IntVec2(-1, -1), IntVec2(1, 0))
+GRAPH_OF_TRIANGLE = partial(circle_graph, make_polygon(TRIANGLE))  # takes the direction
 LEVEL = Violation("level", Fraction(1, 2), "3 non-free orbits at level 1/2")
 LEVEL_REPR = (
     "Violation(kind='level', moment=Fraction(1, 2), detail='3 non-free orbits at level 1/2')"
@@ -89,11 +91,6 @@ CASES = [
      ("a", "b"), {}, dict(a=3, b=1)),
     (BlowUp, dict(l=3, e=2), "BlowUp(l=Fraction(3, 1), e=Fraction(2, 1))", ("l", "e"), {},
      dict(l=3, e=1)),
-    (IntersectionForm, dict(matrix=((0, 1), (1, 0))),
-     "IntersectionForm(matrix=((0, 1), (1, 0)))", ("matrix",), {},
-     dict(matrix=((1, 0), (0, -1)))),
-    (CircleDirection, dict(xi=(1, 2)), "CircleDirection(xi=IntVec2(x=1, y=2))", ("xi",), {},
-     dict(xi=IntVec2(2, 1))),
     (IsolatedPoint, dict(moment="1/2", weights=(1, -1)),
      "IsolatedPoint(moment=Fraction(1, 2), weights=(-1, 1))", ("moment", "weights"), {},
      dict(moment="1/2", weights=(1, 1))),
@@ -178,12 +175,12 @@ def test_polygon_equality_ignores_input_reversed():
 @pytest.mark.parametrize(
     "cls,args,error",
     [
-        pytest.param(IntersectionForm, ([1, 2],), InvalidParamsError, id="form-flat"),
-        pytest.param(IntersectionForm, (((0, 1), (1, 0.5)),), InvalidParamsError,
+        pytest.param(form_automorphisms, ([1, 2],), InvalidParamsError, id="form-flat"),
+        pytest.param(form_automorphisms, (((0, 1), (1, 0.5)),), InvalidParamsError,
                      id="form-float-entry"),
-        pytest.param(IntersectionForm, (((0, 1), (2, 0)),), InvalidParamsError,
+        pytest.param(form_automorphisms, (((0, 1), (2, 0)),), InvalidParamsError,
                      id="form-not-symmetric"),
-        pytest.param(IntersectionForm, (((1, 1), (1, 1)),), InvalidParamsError,
+        pytest.param(form_automorphisms, (((1, 1), (1, 1)),), InvalidParamsError,
                      id="form-degenerate"),
         pytest.param(mat_inverse_unimodular, (((2, 0), (0, 1)),), NotUnimodularError,
                      id="inverse-determinant-2"),
@@ -215,9 +212,9 @@ def test_polygon_equality_ignores_input_reversed():
         pytest.param(FixedPointData, ((1, 2),), GraphError, id="fixed-data-int-components"),
         pytest.param(FixedPointData, (5,), GraphError, id="fixed-data-scalar"),
         # a direction that is not a pair
-        pytest.param(CircleDirection, (5,), DelzantError, id="direction-scalar"),
-        pytest.param(CircleDirection, (None,), DelzantError, id="direction-none"),
-        pytest.param(CircleDirection, ((1, 2, 3),), DelzantError, id="direction-triple"),
+        pytest.param(GRAPH_OF_TRIANGLE, (5,), DelzantError, id="direction-scalar"),
+        pytest.param(GRAPH_OF_TRIANGLE, (None,), DelzantError, id="direction-none"),
+        pytest.param(GRAPH_OF_TRIANGLE, ((1, 2, 3),), DelzantError, id="direction-triple"),
     ],
 )
 def test_malformed_shapes_raise_package_errors(cls, args, error):
